@@ -9,9 +9,6 @@ cargo fmt --all -- --check
 echo "==> unsafe blocks carry SAFETY comments"
 # Every `unsafe` in source must have a `SAFETY` comment within the 12
 # preceding lines (block comments count once, at their first line).
-# `unsafe fn`/`unsafe impl` are matched only as declarations (line-start,
-# optional visibility) so `unsafe fn` *pointer types* — thunk tables and
-# kernel-table entries in threaded.rs/simd.rs — don't false-positive.
 find crates -name '*.rs' -path '*/src/*' -exec awk '
     FNR == 1 { last = -100 }
     /SAFETY/ { last = FNR }
@@ -72,7 +69,7 @@ cargo run --release -q -p gmr-bench --bin bench_engine -- --validate results/BEN
 cargo run --release -q -p gmr-bench --bin bench_serve -- --validate results/BENCH_serve.json
 cargo run --release -q -p gmr-bench --bin bench_scenario -- --validate results/BENCH_scenario.json
 
-echo "==> bench_vm smoke, scalar build (tier bit-identity + per-tier floors)"
+echo "==> bench_vm smoke (tier bit-identity + per-tier floors + headline gates)"
 cargo run --release -q -p gmr-bench --bin bench_vm -- --quick --out BENCH_vm.json
 cargo run --release -q -p gmr-bench --bin bench_vm -- --validate BENCH_vm.json
 
@@ -222,12 +219,5 @@ grep -q '"summaries"' smoke-scenario/summaries.json || {
 }
 kill -TERM "$SCN_PID"
 wait "$SCN_PID" || { echo "FAIL: scenario smoke cluster did not drain cleanly on SIGTERM"; exit 1; }
-
-echo "==> SIMD tier tests (vector kernels live where the host has AVX2+FMA)"
-cargo test -q -p gmr-expr --features simd
-
-echo "==> bench_vm smoke, simd build (relaxed fidelity + headline gates)"
-cargo run --release -q -p gmr-bench --features simd --bin bench_vm -- --quick --out BENCH_vm_simd.json
-cargo run --release -q -p gmr-bench --features simd --bin bench_vm -- --validate BENCH_vm_simd.json
 
 echo "CI OK"

@@ -264,6 +264,7 @@ impl RiverProblem {
 mod tests {
     use super::*;
     use crate::manual::manual_system;
+    use gmr_expr::Tier;
     use gmr_hydro::{generate, SyntheticConfig};
 
     fn tiny_problem() -> RiverProblem {
@@ -290,19 +291,8 @@ mod tests {
         let p = tiny_problem();
         let eqs = manual_system();
         let interp = p.simulate(&eqs);
-        let mut tiers = vec![
-            OptOptions::register(),
-            OptOptions::fused(),
-            OptOptions::full(),
-            OptOptions::threaded(),
-        ];
-        // The simd tier is bit-exact exactly when its vector kernels are
-        // dormant; with them live its fidelity class is relaxed-simd and
-        // the bench's tolerance validation covers it instead.
-        if !gmr_expr::simd::active() {
-            tiers.push(OptOptions::simd());
-        }
-        for opts in tiers {
+        for tier in Tier::ALL {
+            let opts = tier.options();
             let sys = CompiledSystem::compile(&eqs, opts);
             let compiled = p.simulate_compiled(&sys);
             assert_eq!(interp, compiled, "tier {opts:?} diverged");

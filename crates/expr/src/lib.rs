@@ -36,7 +36,6 @@ pub mod ast;
 pub mod compile;
 pub mod display;
 pub mod eval;
-pub mod fastmath;
 pub mod fusion;
 pub mod fusion_gen;
 pub mod hash;
@@ -44,7 +43,6 @@ pub mod opstats;
 pub mod parse;
 pub mod simd;
 pub mod simplify;
-mod threaded;
 pub mod vm;
 
 pub use ast::{BinOp, Expr, ParamSlot, UnOp};
@@ -57,6 +55,6 @@ pub use opstats::{pair_counts, total_pairs, PairCount};
 pub use parse::{parse, ParseError};
 pub use simplify::simplify;
 pub use vm::{
-    CompiledSystem, EnsembleSession, Exec, Fidelity, FidelityPolicy, MultiSession, OptOptions,
-    PrefixTable, RInstr, RegProgram, SystemScratch, SystemSession, Tier, LANES,
+    CompiledSystem, EnsembleSession, FidelityPolicy, MultiSession, OptOptions, PrefixTable, RInstr,
+    RegProgram, SystemScratch, SystemSession, Tier, LANES,
 };

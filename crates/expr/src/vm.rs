@@ -62,9 +62,7 @@ use crate::compile::{check_arity, CompileError};
 use crate::eval::{
     apply_bin, apply_un, protected_div, protected_exp, protected_log, protected_pow, EvalContext,
 };
-use crate::fastmath::{fast_exp, fast_log, fast_pow};
 use crate::fusion::FusionTable;
-use crate::threaded::ThreadedProgram;
 use std::collections::HashMap;
 
 /// Rows evaluated per dispatch in the columnar prefix sweep. 32 keeps the
@@ -73,23 +71,6 @@ use std::collections::HashMap;
 /// and it matches the engine's default short-circuit check interval, so an
 /// aborted candidate sweeps no further than its last fitness checkpoint.
 pub const LANES: usize = 32;
-
-/// How the sequential programs of a compiled system execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exec {
-    /// Match-per-instruction interpreter loop (`run_scalar`).
-    Match,
-    /// Threaded code: each instruction pre-resolved at compile time into a
-    /// monomorphized thunk, so the steady-state inner loop is one indirect
-    /// call per instruction with no operator dispatch. Bit-exact.
-    Threaded,
-    /// Threaded code with relaxed-fidelity fast transcendentals
-    /// ([`crate::fastmath`]) plus vectorized lane kernels
-    /// ([`crate::simd`]) where the hardware supports them. Degrades to
-    /// exactly [`Exec::Threaded`] semantics when the `simd` cargo feature
-    /// is off or the CPU lacks AVX2+FMA.
-    Simd,
-}
 
 /// Which optimization stages to run. The lowering passes (folding, the
 /// algebraic peephole, cross-equation CSE) are always on; the knobs select
@@ -105,8 +86,6 @@ pub struct OptOptions {
     /// `fuse` is off). Defaults to the corpus-selected table
     /// ([`crate::fusion_gen::SELECTED`]).
     pub table: FusionTable,
-    /// Execution backend for the sequential core (and scalar prefix).
-    pub exec: Exec,
 }
 
 impl OptOptions {
@@ -116,7 +95,6 @@ impl OptOptions {
             fuse: false,
             split: false,
             table: FusionTable::NONE,
-            exec: Exec::Match,
         }
     }
 
@@ -126,35 +104,16 @@ impl OptOptions {
             fuse: true,
             split: false,
             table: FusionTable::default(),
-            exec: Exec::Match,
         }
     }
 
-    /// The full match-dispatch pipeline: fusion and the state-independent
-    /// split (the `split` tier).
+    /// The full pipeline: fusion and the state-independent split (the
+    /// `split` tier, the production tier).
     pub fn full() -> OptOptions {
         OptOptions {
             fuse: true,
             split: true,
             table: FusionTable::default(),
-            exec: Exec::Match,
-        }
-    }
-
-    /// The full pipeline compiled to threaded code (bit-exact).
-    pub fn threaded() -> OptOptions {
-        OptOptions {
-            exec: Exec::Threaded,
-            ..OptOptions::full()
-        }
-    }
-
-    /// The full pipeline with relaxed-fidelity SIMD kernels where
-    /// available (see [`Exec::Simd`] for the fallback behaviour).
-    pub fn simd() -> OptOptions {
-        OptOptions {
-            exec: Exec::Simd,
-            ..OptOptions::full()
         }
     }
 }
@@ -166,7 +125,8 @@ impl Default for OptOptions {
 }
 
 /// The named VM tiers compared by `bench_vm` and selectable with the
-/// `--tier` flags across the workspace.
+/// `--tier` flags across the workspace. `register` and `fused` are
+/// ablation switches; `split` is the one production tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Lowering passes only, one op per instruction.
@@ -175,21 +135,11 @@ pub enum Tier {
     Fused,
     /// Fusion plus the state-independent split (historically `full`).
     Split,
-    /// Split pipeline compiled to threaded code. Bit-exact.
-    Threaded,
-    /// Threaded code plus relaxed-fidelity SIMD kernels where available.
-    Simd,
 }
 
 impl Tier {
     /// Every tier, slowest first — the order bench tables print in.
-    pub const ALL: [Tier; 5] = [
-        Tier::Register,
-        Tier::Fused,
-        Tier::Split,
-        Tier::Threaded,
-        Tier::Simd,
-    ];
+    pub const ALL: [Tier; 3] = [Tier::Register, Tier::Fused, Tier::Split];
 
     /// Canonical name (accepted by [`parse`](Self::parse)).
     pub fn name(self) -> &'static str {
@@ -197,8 +147,6 @@ impl Tier {
             Tier::Register => "register",
             Tier::Fused => "fused",
             Tier::Split => "split",
-            Tier::Threaded => "threaded",
-            Tier::Simd => "simd",
         }
     }
 
@@ -209,8 +157,6 @@ impl Tier {
             "register" => Some(Tier::Register),
             "fused" => Some(Tier::Fused),
             "split" | "full" => Some(Tier::Split),
-            "threaded" => Some(Tier::Threaded),
-            "simd" => Some(Tier::Simd),
             _ => None,
         }
     }
@@ -221,93 +167,27 @@ impl Tier {
             Tier::Register => OptOptions::register(),
             Tier::Fused => OptOptions::fused(),
             Tier::Split => OptOptions::full(),
-            Tier::Threaded => OptOptions::threaded(),
-            Tier::Simd => OptOptions::simd(),
         }
     }
 
-    /// The fidelity this tier delivers **on this machine right now**: the
-    /// `simd` tier is relaxed only when its vector kernels are actually
-    /// live (feature compiled in and AVX2+FMA detected); in the fallback
-    /// it is bit-exact threaded code.
-    pub fn fidelity(self) -> Fidelity {
-        if self == Tier::Simd && crate::simd::active() {
-            Fidelity::RelaxedSimd
-        } else {
-            Fidelity::BitExact
-        }
-    }
-
-    /// The fastest tier whose fidelity `policy` admits. Property-tested
-    /// and bench-gated: `threaded` is the fastest bit-exact tier, `simd`
-    /// the fastest overall where its kernels are live.
+    /// The production tier: GP phenotypes, the serving registry and
+    /// `gmr-lint --bytecode` all compile at it. Every tier is bit-exact,
+    /// so the policy only exists for callers that name it.
     pub fn fastest(policy: FidelityPolicy) -> Tier {
         match policy {
-            FidelityPolicy::AllowRelaxed if crate::simd::active() => Tier::Simd,
-            _ => Tier::Threaded,
+            FidelityPolicy::BitExact => Tier::Split,
         }
     }
 }
 
-/// Numerical fidelity of a compiled artifact's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fidelity {
-    /// Values are `==`-identical to the tree-walking interpreter on every
-    /// input (NaN tolerated as equal) — the contract every tier except a
-    /// live `simd` tier satisfies.
-    BitExact,
-    /// Transcendentals (`exp`, `log`, `pow`) use the fast rational
-    /// approximations (~1e-13 relative error over the protected domains);
-    /// all other operators remain bit-exact.
-    RelaxedSimd,
-}
-
-impl Fidelity {
-    /// Stable string used in `/models` JSON and bench reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Fidelity::BitExact => "bit-exact",
-            Fidelity::RelaxedSimd => "relaxed-simd",
-        }
-    }
-}
-
-/// What fidelity a consumer of compiled artifacts is willing to accept.
-/// The serving registry refuses to load a relaxed artifact under the
-/// default [`BitExact`](FidelityPolicy::BitExact) policy, and `bench_vm
-/// --validate` checks relaxed tiers against a tolerance instead of
-/// bit-equality.
+/// What numerical fidelity a consumer of compiled artifacts requires.
+/// Every tier is `==`-identical to the tree-walking interpreter (NaN
+/// tolerated as equal), so bit-exact is the only policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FidelityPolicy {
     /// Only bit-exact execution is acceptable.
     #[default]
     BitExact,
-    /// Relaxed-fidelity execution is acceptable where it is faster.
-    AllowRelaxed,
-}
-
-impl FidelityPolicy {
-    /// Stable string used by `--fidelity` flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            FidelityPolicy::BitExact => "bit-exact",
-            FidelityPolicy::AllowRelaxed => "allow-relaxed",
-        }
-    }
-
-    /// Parse a `--fidelity` flag value.
-    pub fn parse(s: &str) -> Option<FidelityPolicy> {
-        match s {
-            "bit-exact" => Some(FidelityPolicy::BitExact),
-            "allow-relaxed" => Some(FidelityPolicy::AllowRelaxed),
-            _ => None,
-        }
-    }
-
-    /// Does this policy admit an artifact of fidelity `f`?
-    pub fn allows(self, f: Fidelity) -> bool {
-        self == FidelityPolicy::AllowRelaxed || f == Fidelity::BitExact
-    }
 }
 
 /// One register-VM instruction. `dst`/`a`/`b`/`c` index the register file;
@@ -732,14 +612,7 @@ impl RegProgram {
     /// plain indexed f64 kernels with the operator matched *outside* the
     /// loop, so the compiler can auto-vectorize them. State loads are
     /// impossible here by construction (the prefix is state-independent).
-    fn run_lanes<R: AsRef<[f64]>>(
-        &self,
-        rows: &[R],
-        base: usize,
-        m: usize,
-        regs: &mut [f64],
-        fast: bool,
-    ) {
+    fn run_lanes<R: AsRef<[f64]>>(&self, rows: &[R], base: usize, m: usize, regs: &mut [f64]) {
         assert_eq!(regs.len(), self.n_regs as usize * LANES);
         assert!(m <= LANES && base + m <= rows.len());
         // Register stripes are `[r*LANES .. r*LANES+m)` with `r < n_regs`
@@ -759,10 +632,10 @@ impl RegProgram {
                     unreachable!("state load in a state-independent prefix")
                 }
                 RInstr::Un { op, dst, a } => {
-                    l_un(op, fast, regs, off(dst), off(a), m);
+                    l_un(op, regs, off(dst), off(a), m);
                 }
                 RInstr::Bin { op, dst, a, b } => {
-                    l_bin(op, fast, regs, off(dst), off(a), off(b), m);
+                    l_bin(op, regs, off(dst), off(a), off(b), m);
                 }
                 RInstr::VarBinL { op, dst, idx, b } => {
                     // The variable operand differs per lane here (lanes
@@ -774,20 +647,20 @@ impl RegProgram {
                     for (l, slot) in v[..m].iter_mut().enumerate() {
                         *slot = rows[base + l].as_ref()[idx as usize];
                     }
-                    l_bin_vl(op, fast, regs, off(dst), &v, off(b), m);
+                    l_bin_vl(op, regs, off(dst), &v, off(b), m);
                 }
                 RInstr::VarBinR { op, dst, a, idx } => {
                     let mut v = [0.0; LANES];
                     for (l, slot) in v[..m].iter_mut().enumerate() {
                         *slot = rows[base + l].as_ref()[idx as usize];
                     }
-                    l_bin_vr(op, fast, regs, off(dst), off(a), &v, m);
+                    l_bin_vr(op, regs, off(dst), off(a), &v, m);
                 }
                 RInstr::ConstBinL { op, dst, c, b } => {
-                    l_bin_cl(op, fast, regs, off(dst), c, off(b), m);
+                    l_bin_cl(op, regs, off(dst), c, off(b), m);
                 }
                 RInstr::ConstBinR { op, dst, a, c } => {
-                    l_bin_cr(op, fast, regs, off(dst), off(a), c, m);
+                    l_bin_cr(op, regs, off(dst), off(a), c, m);
                 }
                 RInstr::MulAdd { dst, a, b, c } => {
                     l_fused3(F3::MulAdd, regs, off(dst), off(a), off(b), off(c), m);
@@ -819,7 +692,6 @@ impl RegProgram {
         state_stride: usize,
         m: usize,
         regs: &mut [f64],
-        fast: bool,
     ) {
         assert_eq!(regs.len(), self.n_regs as usize * LANES);
         assert!(m <= LANES && states.len() >= m * state_stride);
@@ -843,24 +715,24 @@ impl RegProgram {
                     }
                 }
                 RInstr::Un { op, dst, a } => {
-                    l_un(op, fast, regs, off(dst), off(a), m);
+                    l_un(op, regs, off(dst), off(a), m);
                 }
                 RInstr::Bin { op, dst, a, b } => {
-                    l_bin(op, fast, regs, off(dst), off(a), off(b), m);
+                    l_bin(op, regs, off(dst), off(a), off(b), m);
                 }
                 RInstr::VarBinL { op, dst, idx, b } => {
                     // One shared row: the variable operand is a broadcast
                     // constant for every lane.
-                    l_bin_cl(op, fast, regs, off(dst), vars[idx as usize], off(b), m);
+                    l_bin_cl(op, regs, off(dst), vars[idx as usize], off(b), m);
                 }
                 RInstr::VarBinR { op, dst, a, idx } => {
-                    l_bin_cr(op, fast, regs, off(dst), off(a), vars[idx as usize], m);
+                    l_bin_cr(op, regs, off(dst), off(a), vars[idx as usize], m);
                 }
                 RInstr::ConstBinL { op, dst, c, b } => {
-                    l_bin_cl(op, fast, regs, off(dst), c, off(b), m);
+                    l_bin_cl(op, regs, off(dst), c, off(b), m);
                 }
                 RInstr::ConstBinR { op, dst, a, c } => {
-                    l_bin_cr(op, fast, regs, off(dst), off(a), c, m);
+                    l_bin_cr(op, regs, off(dst), off(a), c, m);
                 }
                 RInstr::MulAdd { dst, a, b, c } => {
                     l_fused3(F3::MulAdd, regs, off(dst), off(a), off(b), off(c), m);
@@ -891,7 +763,6 @@ impl RegProgram {
         state_stride: usize,
         m: usize,
         regs: &mut [f64],
-        fast: bool,
     ) {
         assert_eq!(regs.len(), self.n_regs as usize * LANES);
         assert!(m <= LANES && rows.len() >= m && states.len() >= m * state_stride);
@@ -917,10 +788,10 @@ impl RegProgram {
                     }
                 }
                 RInstr::Un { op, dst, a } => {
-                    l_un(op, fast, regs, off(dst), off(a), m);
+                    l_un(op, regs, off(dst), off(a), m);
                 }
                 RInstr::Bin { op, dst, a, b } => {
-                    l_bin(op, fast, regs, off(dst), off(a), off(b), m);
+                    l_bin(op, regs, off(dst), off(a), off(b), m);
                 }
                 RInstr::VarBinL { op, dst, idx, b } => {
                     // The variable operand differs per lane (each lane is
@@ -930,20 +801,20 @@ impl RegProgram {
                     for (l, slot) in v[..m].iter_mut().enumerate() {
                         *slot = rows[l][idx as usize];
                     }
-                    l_bin_vl(op, fast, regs, off(dst), &v, off(b), m);
+                    l_bin_vl(op, regs, off(dst), &v, off(b), m);
                 }
                 RInstr::VarBinR { op, dst, a, idx } => {
                     let mut v = [0.0; LANES];
                     for (l, slot) in v[..m].iter_mut().enumerate() {
                         *slot = rows[l][idx as usize];
                     }
-                    l_bin_vr(op, fast, regs, off(dst), off(a), &v, m);
+                    l_bin_vr(op, regs, off(dst), off(a), &v, m);
                 }
                 RInstr::ConstBinL { op, dst, c, b } => {
-                    l_bin_cl(op, fast, regs, off(dst), c, off(b), m);
+                    l_bin_cl(op, regs, off(dst), c, off(b), m);
                 }
                 RInstr::ConstBinR { op, dst, a, c } => {
-                    l_bin_cr(op, fast, regs, off(dst), off(a), c, m);
+                    l_bin_cr(op, regs, off(dst), off(a), c, m);
                 }
                 RInstr::MulAdd { dst, a, b, c } => {
                     l_fused3(F3::MulAdd, regs, off(dst), off(a), off(b), off(c), m);
@@ -1024,59 +895,19 @@ enum F3 {
     SubMul,
 }
 
-// Lane-kernel dispatchers: resolve `(op, fast)` to the right kernel once
-// per instruction, outside the lane loop. On a full stripe (`m == LANES`)
-// with live SIMD support these call the `__m256d` kernels in
-// `crate::simd`; otherwise (ragged tail, feature off, no AVX2+FMA) the
-// scalar `k_*` kernels run. Fast transcendentals are chosen only when
-// `fast` (the relaxed `simd` tier); both paths compute bit-identical
-// per-lane values, so chunk alignment never changes a trajectory.
-//
-// SAFETY (the `unsafe` blocks below): `crate::simd::active()` verified
-// AVX2+FMA at run time, and the offsets are full `LANES`-wide stripes of
-// registers proved `< n_regs` by `RegProgram::validate()` against a buffer
-// asserted `n_regs * LANES` long — the exact contract the kernels state.
+// Lane-kernel dispatchers: resolve `op` to the right kernel once per
+// instruction, outside the lane loop.
 #[inline]
-fn l_un(op: UnOp, fast: bool, regs: &mut [f64], d: usize, a: usize, m: usize) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if m == LANES && crate::simd::active() {
-        // SAFETY: see the shared dispatcher argument above.
-        unsafe {
-            match (op, fast) {
-                (UnOp::Neg, _) => return crate::simd::neg_k(regs, d, a),
-                (UnOp::Exp, true) => return crate::simd::exp_k(regs, d, a),
-                (UnOp::Log, true) => return crate::simd::log_k(regs, d, a),
-                _ => {}
-            }
-        }
-    }
-    match (op, fast) {
-        (UnOp::Neg, _) => k_un(|x| -x, regs, d, a, m),
-        (UnOp::Log, false) => k_un(protected_log, regs, d, a, m),
-        (UnOp::Exp, false) => k_un(protected_exp, regs, d, a, m),
-        (UnOp::Log, true) => k_un(fast_log, regs, d, a, m),
-        (UnOp::Exp, true) => k_un(fast_exp, regs, d, a, m),
+fn l_un(op: UnOp, regs: &mut [f64], d: usize, a: usize, m: usize) {
+    match op {
+        UnOp::Neg => k_un(|x| -x, regs, d, a, m),
+        UnOp::Log => k_un(protected_log, regs, d, a, m),
+        UnOp::Exp => k_un(protected_exp, regs, d, a, m),
     }
 }
 
 #[inline]
-fn l_bin(op: BinOp, fast: bool, regs: &mut [f64], d: usize, a: usize, b: usize, m: usize) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if m == LANES && crate::simd::active() {
-        // SAFETY: see the shared dispatcher argument above.
-        unsafe {
-            match op {
-                BinOp::Add => return crate::simd::add_rr(regs, d, a, b),
-                BinOp::Sub => return crate::simd::sub_rr(regs, d, a, b),
-                BinOp::Mul => return crate::simd::mul_rr(regs, d, a, b),
-                BinOp::Div => return crate::simd::div_rr(regs, d, a, b),
-                BinOp::Min => return crate::simd::min_rr(regs, d, a, b),
-                BinOp::Max => return crate::simd::max_rr(regs, d, a, b),
-                BinOp::Pow if fast => return crate::simd::pow_rr(regs, d, a, b),
-                BinOp::Pow => {}
-            }
-        }
-    }
+fn l_bin(op: BinOp, regs: &mut [f64], d: usize, a: usize, b: usize, m: usize) {
     match op {
         BinOp::Add => k_bin(|x, y| x + y, regs, d, a, b, m),
         BinOp::Sub => k_bin(|x, y| x - y, regs, d, a, b, m),
@@ -1084,31 +915,12 @@ fn l_bin(op: BinOp, fast: bool, regs: &mut [f64], d: usize, a: usize, b: usize, 
         BinOp::Div => k_bin(protected_div, regs, d, a, b, m),
         BinOp::Min => k_bin(f64::min, regs, d, a, b, m),
         BinOp::Max => k_bin(f64::max, regs, d, a, b, m),
-        BinOp::Pow => {
-            let f: fn(f64, f64) -> f64 = if fast { fast_pow } else { protected_pow };
-            k_bin(f, regs, d, a, b, m)
-        }
+        BinOp::Pow => k_bin(protected_pow, regs, d, a, b, m),
     }
 }
 
 #[inline]
-fn l_bin_cl(op: BinOp, fast: bool, regs: &mut [f64], d: usize, c: f64, b: usize, m: usize) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if m == LANES && crate::simd::active() {
-        // SAFETY: see the shared dispatcher argument above.
-        unsafe {
-            match op {
-                BinOp::Add => return crate::simd::add_cl(regs, d, c, b),
-                BinOp::Sub => return crate::simd::sub_cl(regs, d, c, b),
-                BinOp::Mul => return crate::simd::mul_cl(regs, d, c, b),
-                BinOp::Div => return crate::simd::div_cl(regs, d, c, b),
-                BinOp::Min => return crate::simd::min_cl(regs, d, c, b),
-                BinOp::Max => return crate::simd::max_cl(regs, d, c, b),
-                BinOp::Pow if fast => return crate::simd::pow_cl(regs, d, c, b),
-                BinOp::Pow => {}
-            }
-        }
-    }
+fn l_bin_cl(op: BinOp, regs: &mut [f64], d: usize, c: f64, b: usize, m: usize) {
     match op {
         BinOp::Add => k_bin_cl(|x, y| x + y, regs, d, c, b, m),
         BinOp::Sub => k_bin_cl(|x, y| x - y, regs, d, c, b, m),
@@ -1116,31 +928,12 @@ fn l_bin_cl(op: BinOp, fast: bool, regs: &mut [f64], d: usize, c: f64, b: usize,
         BinOp::Div => k_bin_cl(protected_div, regs, d, c, b, m),
         BinOp::Min => k_bin_cl(f64::min, regs, d, c, b, m),
         BinOp::Max => k_bin_cl(f64::max, regs, d, c, b, m),
-        BinOp::Pow => {
-            let f: fn(f64, f64) -> f64 = if fast { fast_pow } else { protected_pow };
-            k_bin_cl(f, regs, d, c, b, m)
-        }
+        BinOp::Pow => k_bin_cl(protected_pow, regs, d, c, b, m),
     }
 }
 
 #[inline]
-fn l_bin_cr(op: BinOp, fast: bool, regs: &mut [f64], d: usize, a: usize, c: f64, m: usize) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if m == LANES && crate::simd::active() {
-        // SAFETY: see the shared dispatcher argument above.
-        unsafe {
-            match op {
-                BinOp::Add => return crate::simd::add_cr(regs, d, a, c),
-                BinOp::Sub => return crate::simd::sub_cr(regs, d, a, c),
-                BinOp::Mul => return crate::simd::mul_cr(regs, d, a, c),
-                BinOp::Div => return crate::simd::div_cr(regs, d, a, c),
-                BinOp::Min => return crate::simd::min_cr(regs, d, a, c),
-                BinOp::Max => return crate::simd::max_cr(regs, d, a, c),
-                BinOp::Pow if fast => return crate::simd::pow_cr(regs, d, a, c),
-                BinOp::Pow => {}
-            }
-        }
-    }
+fn l_bin_cr(op: BinOp, regs: &mut [f64], d: usize, a: usize, c: f64, m: usize) {
     match op {
         BinOp::Add => k_bin_cr(|x, y| x + y, regs, d, a, c, m),
         BinOp::Sub => k_bin_cr(|x, y| x - y, regs, d, a, c, m),
@@ -1148,92 +941,26 @@ fn l_bin_cr(op: BinOp, fast: bool, regs: &mut [f64], d: usize, a: usize, c: f64,
         BinOp::Div => k_bin_cr(protected_div, regs, d, a, c, m),
         BinOp::Min => k_bin_cr(f64::min, regs, d, a, c, m),
         BinOp::Max => k_bin_cr(f64::max, regs, d, a, c, m),
-        BinOp::Pow => {
-            let f: fn(f64, f64) -> f64 = if fast { fast_pow } else { protected_pow };
-            k_bin_cr(f, regs, d, a, c, m)
-        }
+        BinOp::Pow => k_bin_cr(protected_pow, regs, d, a, c, m),
     }
 }
 
 #[inline]
-fn l_bin_vl(
-    op: BinOp,
-    fast: bool,
-    regs: &mut [f64],
-    d: usize,
-    v: &[f64; LANES],
-    b: usize,
-    m: usize,
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if m == LANES && crate::simd::active() {
-        // SAFETY: see the shared dispatcher argument above; the gathered
-        // operand is a full stack-owned stripe.
-        unsafe {
-            match op {
-                BinOp::Div => return crate::simd::div_vl(regs, d, v, b),
-                BinOp::Pow if fast => return crate::simd::pow_vl(regs, d, v, b),
-                _ => {}
-            }
-        }
-    }
-    if fast && op == BinOp::Pow {
-        for l in 0..m {
-            regs[d + l] = fast_pow(v[l], regs[b + l]);
-        }
-    } else {
-        for l in 0..m {
-            regs[d + l] = apply_bin(op, v[l], regs[b + l]);
-        }
+fn l_bin_vl(op: BinOp, regs: &mut [f64], d: usize, v: &[f64; LANES], b: usize, m: usize) {
+    for l in 0..m {
+        regs[d + l] = apply_bin(op, v[l], regs[b + l]);
     }
 }
 
 #[inline]
-fn l_bin_vr(
-    op: BinOp,
-    fast: bool,
-    regs: &mut [f64],
-    d: usize,
-    a: usize,
-    v: &[f64; LANES],
-    m: usize,
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if m == LANES && crate::simd::active() {
-        // SAFETY: see the shared dispatcher argument above; the gathered
-        // operand is a full stack-owned stripe.
-        unsafe {
-            match op {
-                BinOp::Div => return crate::simd::div_vr(regs, d, a, v),
-                BinOp::Pow if fast => return crate::simd::pow_vr(regs, d, a, v),
-                _ => {}
-            }
-        }
-    }
-    if fast && op == BinOp::Pow {
-        for l in 0..m {
-            regs[d + l] = fast_pow(regs[a + l], v[l]);
-        }
-    } else {
-        for l in 0..m {
-            regs[d + l] = apply_bin(op, regs[a + l], v[l]);
-        }
+fn l_bin_vr(op: BinOp, regs: &mut [f64], d: usize, a: usize, v: &[f64; LANES], m: usize) {
+    for l in 0..m {
+        regs[d + l] = apply_bin(op, regs[a + l], v[l]);
     }
 }
 
 #[inline]
 fn l_fused3(kind: F3, regs: &mut [f64], d: usize, a: usize, b: usize, c: usize, m: usize) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if m == LANES && crate::simd::active() {
-        // SAFETY: see the shared dispatcher argument above.
-        unsafe {
-            return match kind {
-                F3::MulAdd => crate::simd::mul_add_k(regs, d, a, b, c),
-                F3::MulSub => crate::simd::mul_sub_k(regs, d, a, b, c),
-                F3::SubMul => crate::simd::sub_mul_k(regs, d, a, b, c),
-            };
-        }
-    }
     for l in 0..m {
         // SAFETY: see the shared argument above (`k_*` kernels).
         unsafe {
@@ -1886,7 +1613,7 @@ fn allocate(code: &[VIns], outputs: &[VR], dag: &Dag, n_pre: u16) -> RegProgram 
 /// A system of equations compiled through the optimizing pipeline: one
 /// shared DAG, an optional state-independent prefix program, and a core
 /// program producing one output per equation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledSystem {
     /// Columnar-swept prefix; empty when `opts.split` is off or nothing is
     /// state-independent. Its outputs fill the core's pinned window.
@@ -1895,24 +1622,6 @@ pub struct CompiledSystem {
     core: RegProgram,
     n_eqs: usize,
     opts: OptOptions,
-    /// Threaded-code images of `prefix`/`core`, built by
-    /// [`compile`](Self::compile) when `opts.exec` is not [`Exec::Match`].
-    /// Systems assembled by [`from_raw_parts`](Self::from_raw_parts) never
-    /// carry thunks (they may be deliberately corrupt and must only ever
-    /// be analyzed); scalar execution then falls back to `run_scalar`.
-    prefix_thunks: Option<ThreadedProgram>,
-    core_thunks: Option<ThreadedProgram>,
-}
-
-impl PartialEq for CompiledSystem {
-    /// Thunk arrays are derived data (a pure function of the programs and
-    /// options), so equality compares the programs themselves.
-    fn eq(&self, other: &Self) -> bool {
-        self.prefix == other.prefix
-            && self.core == other.core
-            && self.n_eqs == other.n_eqs
-            && self.opts == other.opts
-    }
 }
 
 impl CompiledSystem {
@@ -2005,27 +1714,11 @@ impl CompiledSystem {
         let core = allocate(&code, &outs, &dag, n_pre);
         debug_assert_eq!(prefix.outputs.len(), n_pre as usize);
 
-        // Threaded-code images: every instruction pre-resolved to a
-        // monomorphized thunk. `fast` (relaxed transcendentals) only when
-        // the simd tier's kernels are actually live, so the scalar and
-        // columnar paths of one system always agree per lane.
-        let fast = opts.exec == Exec::Simd && crate::simd::active();
-        let (prefix_thunks, core_thunks) = if opts.exec == Exec::Match {
-            (None, None)
-        } else {
-            (
-                (!prefix.is_empty()).then(|| ThreadedProgram::build(&prefix, fast)),
-                Some(ThreadedProgram::build(&core, fast)),
-            )
-        };
-
         CompiledSystem {
             prefix,
             core,
             n_eqs: eqs.len(),
             opts,
-            prefix_thunks,
-            core_thunks,
         }
     }
 
@@ -2114,8 +1807,6 @@ impl CompiledSystem {
             core,
             n_eqs,
             opts,
-            prefix_thunks: None,
-            core_thunks: None,
         }
     }
 
@@ -2131,50 +1822,10 @@ impl CompiledSystem {
 
     /// The named tier these options compile to.
     pub fn tier(&self) -> Tier {
-        match (self.opts.exec, self.opts.split, self.opts.fuse) {
-            (Exec::Simd, ..) => Tier::Simd,
-            (Exec::Threaded, ..) => Tier::Threaded,
-            (Exec::Match, true, _) => Tier::Split,
-            (Exec::Match, false, true) => Tier::Fused,
-            (Exec::Match, false, false) => Tier::Register,
-        }
-    }
-
-    /// True when this system executes with relaxed fidelity **on this
-    /// machine right now**: simd exec with the vector kernels live. A
-    /// simd-tier system on a machine without AVX2+FMA (or with the `simd`
-    /// feature off) is bit-exact threaded code.
-    pub fn relaxed(&self) -> bool {
-        self.opts.exec == Exec::Simd && crate::simd::active()
-    }
-
-    /// The fidelity this system's execution delivers (see
-    /// [`relaxed`](Self::relaxed)).
-    pub fn fidelity(&self) -> Fidelity {
-        if self.relaxed() {
-            Fidelity::RelaxedSimd
-        } else {
-            Fidelity::BitExact
-        }
-    }
-
-    /// Run the core for one row: threaded thunks when built, otherwise the
-    /// match interpreter.
-    #[inline]
-    fn run_core_scalar(&self, vars: &[f64], state: &[f64], regs: &mut [f64]) {
-        match &self.core_thunks {
-            Some(t) => t.run(vars, state, regs),
-            None => self.core.run_scalar(vars, state, regs),
-        }
-    }
-
-    /// Run the prefix scalar for one row (see
-    /// [`run_core_scalar`](Self::run_core_scalar)).
-    #[inline]
-    fn run_prefix_scalar(&self, vars: &[f64], regs: &mut [f64]) {
-        match &self.prefix_thunks {
-            Some(t) => t.run(vars, &[], regs),
-            None => self.prefix.run_scalar(vars, &[], regs),
+        match (self.opts.split, self.opts.fuse) {
+            (true, _) => Tier::Split,
+            (false, true) => Tier::Fused,
+            (false, false) => Tier::Register,
         }
     }
 
@@ -2232,12 +1883,14 @@ impl CompiledSystem {
         assert_eq!(out.len(), self.n_eqs);
         let window = self.core.consts.len();
         if !self.prefix.outputs.is_empty() {
-            self.run_prefix_scalar(ctx.vars, &mut scratch.prefix_regs);
+            self.prefix
+                .run_scalar(ctx.vars, &[], &mut scratch.prefix_regs);
             for (k, &r) in self.prefix.outputs.iter().enumerate() {
                 scratch.core_regs[window + k] = scratch.prefix_regs[r as usize];
             }
         }
-        self.run_core_scalar(ctx.vars, ctx.state, &mut scratch.core_regs);
+        self.core
+            .run_scalar(ctx.vars, ctx.state, &mut scratch.core_regs);
         for (e, &r) in self.core.outputs.iter().enumerate() {
             out[e] = scratch.core_regs[r as usize];
         }
@@ -2360,8 +2013,7 @@ impl CompiledSystem {
             let mut filled = 0;
             while filled < rows.len() {
                 let m = LANES.min(rows.len() - filled);
-                self.prefix
-                    .run_lanes(rows, filled, m, &mut lane_regs, self.relaxed());
+                self.prefix.run_lanes(rows, filled, m, &mut lane_regs);
                 for l in 0..m {
                     let row = (filled + l) * n_pre;
                     for (j, &r) in self.prefix.outputs.iter().enumerate() {
@@ -2474,13 +2126,9 @@ impl<R: AsRef<[f64]>> SystemSession<'_, R> {
         if n_pre > 0 {
             while self.filled <= t {
                 let m = LANES.min(self.rows.len() - self.filled);
-                self.sys.prefix.run_lanes(
-                    self.rows,
-                    self.filled,
-                    m,
-                    &mut self.lane_regs,
-                    self.sys.relaxed(),
-                );
+                self.sys
+                    .prefix
+                    .run_lanes(self.rows, self.filled, m, &mut self.lane_regs);
                 for l in 0..m {
                     let row = (self.filled + l) * n_pre;
                     for (k, &r) in self.sys.prefix.outputs.iter().enumerate() {
@@ -2493,7 +2141,8 @@ impl<R: AsRef<[f64]>> SystemSession<'_, R> {
                 .copy_from_slice(&self.prefix_buf[t * n_pre..(t + 1) * n_pre]);
         }
         self.sys
-            .run_core_scalar(self.rows[t].as_ref(), state, &mut self.scratch.core_regs);
+            .core
+            .run_scalar(self.rows[t].as_ref(), state, &mut self.scratch.core_regs);
         for (e, &r) in self.sys.core.outputs.iter().enumerate() {
             out[e] = self.scratch.core_regs[r as usize];
         }
@@ -2565,13 +2214,7 @@ impl<R: AsRef<[f64]>> MultiSession<'_, R> {
                 } => {
                     while *filled <= t {
                         let m = LANES.min(self.rows.len() - *filled);
-                        self.sys.prefix.run_lanes(
-                            self.rows,
-                            *filled,
-                            m,
-                            lane_regs,
-                            self.sys.relaxed(),
-                        );
+                        self.sys.prefix.run_lanes(self.rows, *filled, m, lane_regs);
                         for l in 0..m {
                             let row = (*filled + l) * n_pre;
                             for (j, &r) in self.sys.prefix.outputs.iter().enumerate() {
@@ -2597,7 +2240,6 @@ impl<R: AsRef<[f64]>> MultiSession<'_, R> {
             stride,
             k,
             &mut self.core_lane_regs,
-            self.sys.relaxed(),
         );
         for l in 0..k {
             for (e, &r) in self.sys.core.outputs.iter().enumerate() {
@@ -2671,14 +2313,9 @@ impl<R: AsRef<[f64]>> EnsembleSession<'_, R> {
         for (l, table) in self.tables.iter().enumerate() {
             rows[l] = table[t].as_ref();
         }
-        self.sys.core.run_lanes_rows(
-            &rows[..k],
-            states,
-            stride,
-            k,
-            &mut self.core_lane_regs,
-            self.sys.relaxed(),
-        );
+        self.sys
+            .core
+            .run_lanes_rows(&rows[..k], states, stride, k, &mut self.core_lane_regs);
         for l in 0..k {
             for (e, &r) in self.sys.core.outputs.iter().enumerate() {
                 out[l * n_eqs + e] = self.core_lane_regs[r as usize * LANES + l];
@@ -2745,39 +2382,15 @@ mod tests {
         }
     }
 
-    /// Every tier whose execution is bit-exact on this machine. The simd
-    /// tier joins only where its vector kernels are *not* live (feature
-    /// off or no AVX2+FMA), i.e. exactly when it degrades to threaded.
-    fn exact_tiers() -> Vec<OptOptions> {
-        let mut tiers = vec![
-            OptOptions::register(),
-            OptOptions::fused(),
-            OptOptions::full(),
-            OptOptions::threaded(),
-        ];
-        if !crate::simd::active() {
-            tiers.push(OptOptions::simd());
-        }
-        tiers
-    }
-
-    /// Every tier, the simd tier possibly relaxed — for tests comparing
-    /// the VM's own execution paths against each other, which must agree
-    /// bitwise regardless of fidelity.
+    /// Every tier (all bit-exact).
     fn all_tiers() -> Vec<OptOptions> {
-        vec![
-            OptOptions::register(),
-            OptOptions::fused(),
-            OptOptions::full(),
-            OptOptions::threaded(),
-            OptOptions::simd(),
-        ]
+        Tier::ALL.iter().map(|t| t.options()).collect()
     }
 
     #[test]
     fn all_tiers_match_interpreter_on_sample() {
         let eqs = sample_system();
-        for opts in exact_tiers() {
+        for opts in all_tiers() {
             check_equivalence(&eqs, &[20.0, 1.4], &[8.0, 1.2], opts);
             check_equivalence(&eqs, &[0.0, 0.0], &[0.0, 0.0], opts);
             check_equivalence(&eqs, &[-3.0, 1e9], &[1e9, -1e9], opts);
@@ -2821,7 +2434,7 @@ mod tests {
             (vec![1e12, 0.0], vec![-1e12]),
         ] {
             for (i, eq) in cases.iter().enumerate() {
-                for opts in exact_tiers() {
+                for opts in all_tiers() {
                     let sys = CompiledSystem::compile(std::slice::from_ref(eq), opts);
                     let ctx = EvalContext {
                         vars: &vars,
@@ -3347,66 +2960,8 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_policy_gates_relaxed_tiers() {
-        assert_eq!(Tier::fastest(FidelityPolicy::BitExact), Tier::Threaded);
-        let fast = Tier::fastest(FidelityPolicy::AllowRelaxed);
-        assert!(FidelityPolicy::AllowRelaxed.allows(fast.fidelity()));
-        assert!(FidelityPolicy::BitExact.allows(Fidelity::BitExact));
-        assert!(!FidelityPolicy::BitExact.allows(Fidelity::RelaxedSimd));
-        for tier in [Tier::Register, Tier::Fused, Tier::Split, Tier::Threaded] {
-            assert_eq!(tier.fidelity(), Fidelity::BitExact);
-        }
-        let sys = CompiledSystem::compile(&sample_system(), OptOptions::simd());
-        assert_eq!(sys.relaxed(), crate::simd::active());
-        assert_eq!(sys.fidelity(), Tier::Simd.fidelity());
-    }
-
-    /// With live SIMD kernels the simd tier is *relaxed*: transcendentals
-    /// track the interpreter to ~1e-12 relative error instead of bitwise.
-    #[cfg(feature = "simd")]
-    #[test]
-    fn relaxed_simd_tier_tracks_interpreter_within_tolerance() {
-        if !crate::simd::active() {
-            return; // no AVX2+FMA: the tier is bit-exact, covered above
-        }
-        // Transcendental-heavy equation: exp/log/pow in prefix and core.
-        let eq = Expr::bin(
-            BinOp::Sub,
-            Expr::bin(
-                BinOp::Mul,
-                Expr::State(0),
-                Expr::un(
-                    UnOp::Exp,
-                    Expr::bin(BinOp::Div, Expr::Var(0), Expr::Num(30.0)),
-                ),
-            ),
-            Expr::bin(
-                BinOp::Pow,
-                Expr::un(
-                    UnOp::Log,
-                    Expr::bin(BinOp::Add, Expr::Var(1), Expr::Num(1.0)),
-                ),
-                Expr::Num(1.7),
-            ),
-        );
-        let sys = CompiledSystem::compile(std::slice::from_ref(&eq), OptOptions::simd());
-        assert!(sys.relaxed());
-        let rows: Vec<Vec<f64>> = (0..LANES + 5)
-            .map(|t| vec![(t as f64 * 0.7).sin() * 25.0, t as f64 * 0.3 + 0.1])
-            .collect();
-        let mut session = sys.session(&rows);
-        let mut state = [4.0];
-        for (t, row) in rows.iter().enumerate() {
-            let ctx = EvalContext {
-                vars: row,
-                state: &state,
-            };
-            let want = eq.eval(&ctx);
-            let mut got = [0.0];
-            session.step(t, &state, &mut got);
-            let rel = (got[0] - want).abs() / want.abs().max(1e-300);
-            assert!(rel < 1e-11, "t={t}: rel err {rel:e} ({} vs {want})", got[0]);
-            state[0] = (state[0] + 0.05 * got[0]).clamp(0.1, 1e6);
-        }
+    fn split_is_the_production_tier() {
+        assert_eq!(Tier::fastest(FidelityPolicy::BitExact), Tier::Split);
+        assert_eq!(Tier::fastest(FidelityPolicy::default()), Tier::Split);
     }
 }

@@ -9,7 +9,7 @@
 //!    runtime-compilation speedup would change search trajectories).
 
 use gmr_expr::ast::{BinOp, Expr, ParamSlot, UnOp};
-use gmr_expr::{simplify, CompiledExpr, CompiledSystem, EvalContext, NameTable, OptOptions};
+use gmr_expr::{simplify, CompiledExpr, CompiledSystem, EvalContext, NameTable, OptOptions, Tier};
 use proptest::prelude::*;
 
 /// Strategy for arbitrary expressions over 4 vars, 2 states, 3 param kinds.
@@ -130,31 +130,9 @@ fn feq(a: f64, b: f64) -> bool {
     (a.is_nan() && b.is_nan()) || a == b
 }
 
-/// Every tier whose contract is bit-exactness vs the interpreter. The
-/// threaded tier is always bit-exact; the simd tier is bit-exact exactly
-/// when its vector kernels are dormant (feature off, or no AVX2+FMA at
-/// runtime) and it falls back to the threaded thunks.
-fn exact_tiers() -> Vec<OptOptions> {
-    let mut tiers = vec![
-        OptOptions::register(),
-        OptOptions::fused(),
-        OptOptions::full(),
-        OptOptions::threaded(),
-    ];
-    if !gmr_expr::simd::active() {
-        tiers.push(OptOptions::simd());
-    }
-    tiers
-}
-
-/// Relative closeness for the relaxed-simd fidelity class: the vector
-/// transcendentals are allowed to differ from libm in the last few ulps.
-#[cfg(feature = "simd")]
-fn close(a: f64, b: f64) -> bool {
-    if a.is_nan() || b.is_nan() {
-        return a.is_nan() && b.is_nan();
-    }
-    (a - b).abs() <= 1e-12 + 1e-9 * a.abs().max(b.abs())
+/// Every VM tier; each one's contract is bit-exactness vs the interpreter.
+fn all_tiers() -> Vec<OptOptions> {
+    Tier::ALL.iter().map(|t| t.options()).collect()
 }
 
 proptest! {
@@ -226,13 +204,11 @@ proptest! {
         (vars, state) in arb_ctx(),
     ) {
         // The tentpole invariant: constant folding, peephole rewrites,
-        // cross-equation CSE, register allocation, fusion, the prefix
-        // split, and the threaded-code thunks must all be bit-exact under
-        // protected semantics (the simd tier too, whenever its vector
-        // kernels are dormant and it runs the scalar fallback).
+        // cross-equation CSE, register allocation, fusion and the prefix
+        // split must all be bit-exact under protected semantics.
         let ctx = EvalContext { vars: &vars, state: &state };
         let expect: Vec<f64> = eqs.iter().map(|e| e.eval(&ctx)).collect();
-        for opts in exact_tiers() {
+        for opts in all_tiers() {
             let sys = CompiledSystem::compile(&eqs, opts);
             let mut scratch = sys.scratch();
             let mut out = vec![0.0; sys.n_eqs()];
@@ -253,7 +229,7 @@ proptest! {
         // assume finiteness anywhere (this is why x*0 → 0 is NOT a rewrite).
         let ctx = EvalContext { vars: &vars, state: &state };
         let expect: Vec<f64> = eqs.iter().map(|e| e.eval(&ctx)).collect();
-        for opts in exact_tiers() {
+        for opts in all_tiers() {
             let sys = CompiledSystem::compile(&eqs, opts);
             let mut scratch = sys.scratch();
             let mut out = vec![0.0; sys.n_eqs()];
@@ -274,26 +250,18 @@ proptest! {
         // The columnar prefix sweep: a session over up to 80 rows (crossing
         // the 32-lane chunk boundary twice) must agree with per-row
         // interpretation at every (row, state) pair, including revisits of
-        // the same row with a different state. Holds for every tier with a
-        // split prefix: interpreted split, threaded thunks, and the simd
-        // tier on its scalar fallback.
-        let mut tiers = vec![OptOptions::full(), OptOptions::threaded()];
-        if !gmr_expr::simd::active() {
-            tiers.push(OptOptions::simd());
-        }
-        for opts in tiers {
-            let sys = CompiledSystem::compile(&eqs, opts);
-            let mut session = sys.session(&rows);
-            let mut out = vec![0.0; sys.n_eqs()];
-            for (t, row) in rows.iter().enumerate() {
-                for state in &states {
-                    let ctx = EvalContext { vars: row, state };
-                    session.step(t, state, &mut out);
-                    for (i, (eq, &got)) in eqs.iter().zip(&out).enumerate() {
-                        let want = eq.eval(&ctx);
-                        prop_assert!(feq(want, got),
-                            "tier {opts:?} row {t} eq {i}: interpreter {want} vs session {got}");
-                    }
+        // the same row with a different state.
+        let sys = CompiledSystem::compile(&eqs, OptOptions::full());
+        let mut session = sys.session(&rows);
+        let mut out = vec![0.0; sys.n_eqs()];
+        for (t, row) in rows.iter().enumerate() {
+            for state in &states {
+                let ctx = EvalContext { vars: row, state };
+                session.step(t, state, &mut out);
+                for (i, (eq, &got)) in eqs.iter().zip(&out).enumerate() {
+                    let want = eq.eval(&ctx);
+                    prop_assert!(feq(want, got),
+                        "row {t} eq {i}: interpreter {want} vs session {got}");
                 }
             }
         }
@@ -305,13 +273,12 @@ proptest! {
         rows in prop::collection::vec(prop::collection::vec(-1e3_f64..1e3, 4), 1..80),
         inits in prop::collection::vec(prop::collection::vec(-1e3_f64..1e3, 2), 1..6),
     ) {
-        // Lock-step lane stepping (the batching server's and the SIMD
-        // backend's execution shape) is bit-identical to running each
-        // trajectory through its own solo session — for every tier,
-        // including an *active* simd tier, where both sides take the same
-        // vector paths. Rows cross the 32-lane chunk boundary twice.
+        // Lock-step lane stepping (the batching server's execution shape)
+        // is bit-identical to running each trajectory through its own solo
+        // session — for every tier. Rows cross the 32-lane chunk boundary
+        // twice.
         let k = inits.len();
-        for opts in [OptOptions::full(), OptOptions::threaded(), OptOptions::simd()] {
+        for opts in all_tiers() {
             let sys = CompiledSystem::compile(&eqs, opts);
             let n_eqs = sys.n_eqs();
             let mut want = vec![0.0; k * n_eqs];
@@ -336,43 +303,13 @@ proptest! {
     }
 
     #[test]
-    #[cfg(feature = "simd")]
-    fn simd_session_stays_within_relaxed_tolerance(
-        eqs in prop::collection::vec(arb_expr(), 2..3),
-        rows in prop::collection::vec(prop::collection::vec(-1e3_f64..1e3, 4), 1..80),
-        states in prop::collection::vec(prop::collection::vec(-1e3_f64..1e3, 2), 1..4),
-    ) {
-        // With the vector kernels live, the simd tier's fidelity class is
-        // relaxed-simd: outputs may differ from libm in the last ulps of
-        // the vector transcendentals but must stay relatively close, and
-        // finite inputs must never produce NaN the interpreter doesn't.
-        let sys = CompiledSystem::compile(&eqs, OptOptions::simd());
-        let mut session = sys.session(&rows);
-        let mut out = vec![0.0; sys.n_eqs()];
-        for (t, row) in rows.iter().enumerate() {
-            for state in &states {
-                let ctx = EvalContext { vars: row, state };
-                session.step(t, state, &mut out);
-                for (i, (eq, &got)) in eqs.iter().zip(&out).enumerate() {
-                    let want = eq.eval(&ctx);
-                    prop_assert!(close(want, got),
-                        "row {t} eq {i}: interpreter {want} vs simd session {got}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn var_operand_pow_div_prefix_matches_interpreter(
         rows in prop::collection::vec(prop::collection::vec(0.1_f64..50.0, 4), 33..80),
         states in prop::collection::vec(prop::collection::vec(-1e2_f64..1e2, 2), 1..3),
     ) {
         // VarBinL/VarBinR pow and div inside the state-independent prefix
-        // — the shapes the gathered-operand vector kernels cover. Rows
-        // cross the 32-lane chunk boundary so both the full-stripe and
-        // ragged-tail paths run. Bit-exact whenever the vector kernels
-        // are dormant; with them live, div stays bit-exact (protected
-        // kernel) and pow is relaxed to relative closeness.
+        // — the gathered-operand lane shapes. Rows cross the 32-lane chunk
+        // boundary so both the full-stripe and ragged-tail paths run.
         let inner = Expr::bin(
             BinOp::Add,
             Expr::bin(BinOp::Mul, Expr::Var(2), Expr::Num(0.05)),
@@ -386,7 +323,7 @@ proptest! {
             Expr::bin(BinOp::Mul, Expr::bin(BinOp::Div, Expr::Var(0), inner.clone()), Expr::State(0)),
             Expr::bin(BinOp::Add, Expr::bin(BinOp::Div, inner, Expr::Var(1)), Expr::State(1)),
         ];
-        for opts in exact_tiers() {
+        for opts in all_tiers() {
             let sys = CompiledSystem::compile(&eqs, opts);
             let mut session = sys.session(&rows);
             let mut out = vec![0.0; sys.n_eqs()];
@@ -398,25 +335,6 @@ proptest! {
                         let want = eq.eval(&ctx);
                         prop_assert!(feq(want, got),
                             "tier {opts:?} row {t} eq {i}: interpreter {want} vs session {got}");
-                    }
-                }
-            }
-        }
-        #[cfg(feature = "simd")]
-        if gmr_expr::simd::active() {
-            let sys = CompiledSystem::compile(&eqs, OptOptions::simd());
-            let mut session = sys.session(&rows);
-            let mut out = vec![0.0; sys.n_eqs()];
-            for (t, row) in rows.iter().enumerate() {
-                for state in &states {
-                    let ctx = EvalContext { vars: row, state };
-                    session.step(t, state, &mut out);
-                    for (i, (eq, &got)) in eqs.iter().zip(&out).enumerate() {
-                        let want = eq.eval(&ctx);
-                        // eqs 0/1 are the relaxed pow shapes; 2/3 divide.
-                        let ok = if i < 2 { close(want, got) } else { feq(want, got) };
-                        prop_assert!(ok,
-                            "live simd row {t} eq {i}: interpreter {want} vs session {got}");
                     }
                 }
             }
@@ -438,7 +356,7 @@ proptest! {
         // chunk the full-table sweep computed as part of a full stripe.
         let k = inits.len();
         let days = ((rows.len() as f64 * take).ceil() as usize).clamp(1, rows.len());
-        for opts in [OptOptions::full(), OptOptions::threaded(), OptOptions::simd()] {
+        for opts in all_tiers() {
             let sys = CompiledSystem::compile(&eqs, opts);
             let table = sys.sweep_prefix(&rows);
             let states: Vec<f64> = inits.iter().flatten().copied().collect();

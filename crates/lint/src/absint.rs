@@ -34,14 +34,13 @@
 //!    stream, so a surviving dead instruction — impossible for pipeline
 //!    output, possible for a corrupted artifact — is reported.
 //! 4. **Bounds proof.** The VM's unchecked register accesses — the scalar
-//!    interpreter, the threaded tier's raw-pointer thunks, and the five
-//!    lane dispatchers (each forwarding identical stripe offsets to the
-//!    scalar `k_*` kernels or the AVX2 `simd` kernels) — are each
-//!    discharged by a machine-checked max-index argument: the analysis
-//!    computes the maximum register index any instruction or output
-//!    touches, per program, and proves it below the register-file bound
-//!    the interpreter asserts (`n_regs` for scalar and threaded access,
-//!    `n_regs · LANES` for lane stripes). The obligations are
+//!    interpreter and the five lane dispatchers (each forwarding stripe
+//!    offsets to the `k_*` kernels) — are each discharged by a
+//!    machine-checked max-index argument: the analysis computes the
+//!    maximum register index any instruction or output touches, per
+//!    program, and proves it below the register-file bound the
+//!    interpreter asserts (`n_regs` for scalar access, `n_regs · LANES`
+//!    for lane stripes). The obligations are
 //!    emitted as a [`SafetyReport`] (JSON schema `gmr-safety/v1`) that CI
 //!    diffs against a committed baseline; an unproved obligation is an
 //!    Error finding.
@@ -274,7 +273,6 @@ struct Cell {
 #[derive(Clone, Copy, PartialEq)]
 enum Site {
     Scalar,
-    Threaded,
     Fused3Lanes,
     KUn,
     KBin,
@@ -282,29 +280,23 @@ enum Site {
     KBinCr,
 }
 
-const N_SITES: usize = 7;
+const N_SITES: usize = 6;
 
 fn sites_of(ins: &RInstr) -> &'static [Site] {
-    // Every instruction goes through `run_scalar` and is compiled into a
-    // threaded-tier thunk (raw-pointer access with the same indices); the
-    // lane interpreters additionally route it to one of the unchecked
-    // dispatchers `l_un`/`l_bin`/`l_bin_cl`/`l_bin_cr`/`l_fused3`, each
-    // of which forwards the same stripe offsets to either the scalar
-    // `k_*` kernels or the `simd` AVX2 kernels (VarBin uses the same
-    // `l_bin_cl`/`l_bin_cr` dispatchers in `run_lanes_one_row` and
-    // checked indexing in `run_lanes` — the stripe bound covers both).
+    // Every instruction goes through `run_scalar`; the lane interpreters
+    // additionally route it to one of the unchecked dispatchers
+    // `l_un`/`l_bin`/`l_bin_cl`/`l_bin_cr`/`l_fused3`, each of which
+    // forwards the same stripe offsets to the `k_*` kernels (VarBin uses
+    // the same `l_bin_cl`/`l_bin_cr` dispatchers in `run_lanes_one_row`
+    // and checked indexing in `run_lanes` — the stripe bound covers both).
     match ins {
-        RInstr::LoadVar { .. } | RInstr::LoadState { .. } => &[Site::Scalar, Site::Threaded],
-        RInstr::Un { .. } => &[Site::Scalar, Site::Threaded, Site::KUn],
-        RInstr::Bin { .. } => &[Site::Scalar, Site::Threaded, Site::KBin],
-        RInstr::VarBinL { .. } | RInstr::ConstBinL { .. } => {
-            &[Site::Scalar, Site::Threaded, Site::KBinCl]
-        }
-        RInstr::VarBinR { .. } | RInstr::ConstBinR { .. } => {
-            &[Site::Scalar, Site::Threaded, Site::KBinCr]
-        }
+        RInstr::LoadVar { .. } | RInstr::LoadState { .. } => &[Site::Scalar],
+        RInstr::Un { .. } => &[Site::Scalar, Site::KUn],
+        RInstr::Bin { .. } => &[Site::Scalar, Site::KBin],
+        RInstr::VarBinL { .. } | RInstr::ConstBinL { .. } => &[Site::Scalar, Site::KBinCl],
+        RInstr::VarBinR { .. } | RInstr::ConstBinR { .. } => &[Site::Scalar, Site::KBinCr],
         RInstr::MulAdd { .. } | RInstr::MulSub { .. } | RInstr::SubMul { .. } => {
-            &[Site::Scalar, Site::Threaded, Site::Fused3Lanes]
+            &[Site::Scalar, Site::Fused3Lanes]
         }
     }
 }
@@ -618,7 +610,6 @@ fn analyze_program(
     let mut outs = Vec::with_capacity(prog.outputs().len());
     for (k, &o) in prog.outputs().iter().enumerate() {
         ctx.bounds.note(Site::Scalar, o);
-        ctx.bounds.note(Site::Threaded, o);
         if o as usize >= prog.n_regs() {
             ctx.diag(
                 Severity::Error,
@@ -677,41 +668,25 @@ fn obligations_for(
     n_regs: usize,
     out: &mut Vec<SafetyObligation>,
 ) {
-    let scalar_sites: [(Site, &'static str, &'static str); 2] = [
-        (
-            Site::Scalar,
-            "vm.rs run_scalar",
-            "every register operand and output index is < n_regs, so \
-             `get_unchecked` into a scalar file of n_regs is in bounds",
-        ),
-        (
-            Site::Threaded,
-            "threaded.rs ThreadedProgram::run",
-            "every thunk argument index is < n_regs and run() asserts the \
-             register file length, so the raw-pointer thunk access is in \
-             bounds",
-        ),
-    ];
     let kernel_sites: [(Site, &'static str); 5] = [
-        (Site::KUn, "vm.rs l_un (k_un / simd kern1)"),
-        (Site::KBin, "vm.rs l_bin (k_bin / simd kern2)"),
-        (Site::KBinCl, "vm.rs l_bin_cl (k_bin_cl / simd kern2)"),
-        (Site::KBinCr, "vm.rs l_bin_cr (k_bin_cr / simd kern2)"),
-        (Site::Fused3Lanes, "vm.rs l_fused3 (scalar / simd kern3)"),
+        (Site::KUn, "vm.rs l_un (k_un)"),
+        (Site::KBin, "vm.rs l_bin (k_bin)"),
+        (Site::KBinCl, "vm.rs l_bin_cl (k_bin_cl)"),
+        (Site::KBinCr, "vm.rs l_bin_cr (k_bin_cr)"),
+        (Site::Fused3Lanes, "vm.rs l_fused3"),
     ];
-    for (site, site_name, claim) in scalar_sites {
-        let accesses = bounds.get(site).map_or(0, |_| 1);
-        let max_index = bounds.get(site).unwrap_or(0) as usize;
-        out.push(SafetyObligation {
-            site: site_name,
-            program: name,
-            claim,
-            accesses,
-            max_index,
-            bound: n_regs,
-            proved: accesses == 0 || max_index < n_regs,
-        });
-    }
+    let accesses = bounds.get(Site::Scalar).map_or(0, |_| 1);
+    let max_index = bounds.get(Site::Scalar).unwrap_or(0) as usize;
+    out.push(SafetyObligation {
+        site: "vm.rs run_scalar",
+        program: name,
+        claim: "every register operand and output index is < n_regs, so \
+                `get_unchecked` into a scalar file of n_regs is in bounds",
+        accesses,
+        max_index,
+        bound: n_regs,
+        proved: accesses == 0 || max_index < n_regs,
+    });
     for (site, site_name) in kernel_sites {
         let accesses = bounds.get(site).map_or(0, |_| 1);
         let max_index = bounds
@@ -722,8 +697,7 @@ fn obligations_for(
             site: site_name,
             program: name,
             claim: "max dispatcher stripe offset + (LANES-1) is < n_regs*LANES, \
-                    so the shared lane kernels' (scalar and AVX2) unchecked \
-                    access is in bounds",
+                    so the shared lane kernels' unchecked access is in bounds",
             accesses,
             max_index,
             bound,
@@ -862,8 +836,6 @@ mod tests {
             OptOptions::register(),
             OptOptions::fused(),
             OptOptions::full(),
-            OptOptions::threaded(),
-            OptOptions::simd(),
         ] {
             let sys = compile_manual(opts);
             let analysis = analyze_system(&sys, &env, "table5-manual");
@@ -891,11 +863,12 @@ mod tests {
             Some("gmr-safety/v1")
         );
         assert_eq!(v.get("proved"), Some(&gmr_json::Value::Bool(true)));
+        // Prefix and core, each with `run_scalar` plus five lane kernels.
         assert_eq!(
             v.get("obligations")
                 .and_then(|o| o.as_arr())
                 .map(|a| a.len()),
-            Some(14)
+            Some(12)
         );
         // Deterministic: a second analysis renders byte-identically.
         let again = analyze_system(&sys, &IntervalEnv::river(), "table5-manual");

@@ -45,8 +45,8 @@ OPTIONS:
     --bytecode       Also compile each input system through the register-VM
                      pipeline and verify the compiled bytecode (intervals,
                      prefix state-independence, dead code, unsafe bounds)
-    --tier <T>       Pipeline tier for --bytecode: register, fused, full
-                     (alias of split), threaded or simd (default full)
+    --tier <T>       Pipeline tier for --bytecode: register, fused or split
+                     (alias full; the default)
     --safety-out <F> Write the --bytecode SafetyReport ('gmr-safety/v1'
                      JSON; an array when several systems are analyzed)
     --json           Emit the report as JSON instead of human-readable text
@@ -99,7 +99,7 @@ fn parse_args(args: &[String]) -> Result<Option<Opts>, String> {
                     None => return Err(format!("unknown tier '{name}'")),
                 },
                 None => {
-                    return Err("--tier needs register|fused|full|threaded|simd".into());
+                    return Err("--tier needs register|fused|split".into());
                 }
             },
             "--safety-out" => match it.next() {

@@ -23,7 +23,7 @@
 //! Everything is deterministic: the same spec + seed yields bit-identical
 //! topology, forcing tables, variants, and summaries on every host. The
 //! serving layer leans on this — a sweep summary computed through batched
-//! SIMD lanes must equal the summary reduced from a solo `/simulate`
+//! VM lanes must equal the summary reduced from a solo `/simulate`
 //! trajectory, bit for bit.
 
 pub mod compile;

@@ -19,12 +19,8 @@
 //!
 //! The batcher resolves each group's compiled system through the
 //! registry's hot tier at flush time ([`ModelRegistry::touch`]), so LRU
-//! order tracks execution order, reuses the hot record's cached
-//! [`PrefixTable`] per forcing table, and — when the AVX2 kernels are
-//! live — pads wide sweeps to full [`LANES`] stripes so the lock-step
-//! core runs the vector kernels instead of per-lane scalar loops
-//! (padded lanes replicate a real trajectory and are dropped; per-lane
-//! results are unchanged).
+//! order tracks execution order, and reuses the hot record's cached
+//! [`PrefixTable`] per forcing table.
 
 use crate::registry::{ModelRegistry, ServableModel};
 use gmr_bio::{sanitise_state, simulate_network_compiled, NetworkSimOptions, StationSeries};
@@ -139,37 +135,7 @@ pub fn parse_sim_request(v: &Value) -> Result<SimRequest, String> {
     if days == Some(0) {
         return Err("\"days\" must be at least 1".into());
     }
-    let init = match v.get("init") {
-        None => (8.0, 1.2),
-        Some(p) => {
-            let arr = p.as_arr().ok_or("\"init\" must be [bphy, bzoo]")?;
-            if arr.len() != 2 {
-                return Err("\"init\" must be [bphy, bzoo]".into());
-            }
-            let a = arr[0].as_f64().ok_or("\"init\" values must be numbers")?;
-            let b = arr[1].as_f64().ok_or("\"init\" values must be numbers")?;
-            if !a.is_finite() || !b.is_finite() {
-                return Err("\"init\" values must be finite".into());
-            }
-            (a, b)
-        }
-    };
-    let f64_field = |key: &str, default: f64| -> Result<f64, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(x) => {
-                let x = x
-                    .as_f64()
-                    .ok_or_else(|| format!("{key:?} must be a number"))?;
-                if !x.is_finite() || x <= 0.0 {
-                    return Err(format!("{key:?} must be positive and finite"));
-                }
-                Ok(x)
-            }
-        }
-    };
-    let dt = f64_field("dt", 1.0)?;
-    let state_cap = f64_field("state_cap", 1e9)?;
+    let (init, dt, state_cap) = parse_integration(v)?;
     let mode = match v.get("mode").and_then(Value::as_str) {
         None | Some("series") => Mode::Series,
         Some("summary") => Mode::Summary,
@@ -194,6 +160,42 @@ pub fn parse_sim_request(v: &Value) -> Result<SimRequest, String> {
         network,
         station,
     })
+}
+
+/// Parse the integration fields `/simulate` and `/sweep` share: `init`
+/// (default `[8.0, 1.2]`, finite) and the positive-finite `dt` (default 1)
+/// and `state_cap` (default 1e9). Error strings are safe for `400`.
+pub(crate) fn parse_integration(v: &Value) -> Result<((f64, f64), f64, f64), String> {
+    let init = match v.get("init") {
+        None => (8.0, 1.2),
+        Some(p) => {
+            let arr = p.as_arr().ok_or("\"init\" must be [bphy, bzoo]")?;
+            if arr.len() != 2 {
+                return Err("\"init\" must be [bphy, bzoo]".into());
+            }
+            let a = arr[0].as_f64().ok_or("\"init\" values must be numbers")?;
+            let b = arr[1].as_f64().ok_or("\"init\" values must be numbers")?;
+            if !a.is_finite() || !b.is_finite() {
+                return Err("\"init\" values must be finite".into());
+            }
+            (a, b)
+        }
+    };
+    let positive = |key: &str, default: f64| -> Result<f64, String> {
+        match v.get(key) {
+            None => Ok(default),
+            Some(x) => {
+                let x = x
+                    .as_f64()
+                    .ok_or_else(|| format!("{key:?} must be a number"))?;
+                if !x.is_finite() || x <= 0.0 {
+                    return Err(format!("{key:?} must be positive and finite"));
+                }
+                Ok(x)
+            }
+        }
+    };
+    Ok((init, positive("dt", 1.0)?, positive("state_cap", 1e9)?))
 }
 
 /// One station's hosted series (network tables).
@@ -365,11 +367,6 @@ pub fn simulate_single(
     (bphy, bzoo)
 }
 
-/// Pad a lock-step sweep to full [`LANES`] stripes once it is at least
-/// this wide (and the vector kernels are live): from half-occupancy up,
-/// one full-stripe vector dispatch beats `k` scalar per-lane loops.
-pub(crate) const PAD_MIN: usize = LANES / 2;
-
 /// `k = inits.len()` trajectories over one shared forcing table in a
 /// single lock-step sweep (`k <= LANES`). Per-trajectory results are
 /// bit-identical to [`simulate_single`].
@@ -407,24 +404,11 @@ fn simulate_lockstep(
 ) -> Vec<(Vec<f64>, Vec<f64>)> {
     let k = inits.len();
     assert!((1..=LANES).contains(&k));
-    // With the vector kernels live, a wide-but-ragged group is padded to
-    // a full stripe with copies of the first trajectory: the lock-step
-    // core then takes the `__m256d` dispatch path instead of `k` scalar
-    // per-lane iterations. Lanes are arithmetically independent, so the
-    // real lanes' bits are unchanged; the padded ones are dropped.
-    let k_run = if gmr_expr::simd::active() && (PAD_MIN..LANES).contains(&k) {
-        LANES
-    } else {
-        k
-    };
     let mut multi = match prefix {
-        Some(p) => sys.multi_session_with_prefix(rows, k_run, p),
-        None => sys.multi_session(rows, k_run),
+        Some(p) => sys.multi_session_with_prefix(rows, k, p),
+        None => sys.multi_session(rows, k),
     };
     let mut states: Vec<f64> = inits.iter().flat_map(|&(p, z)| [p, z]).collect();
-    for _ in k..k_run {
-        states.extend([inits[0].0, inits[0].1]);
-    }
     let mut out: Vec<(Vec<f64>, Vec<f64>)> = inits
         .iter()
         .map(|_| {
@@ -434,14 +418,14 @@ fn simulate_lockstep(
             )
         })
         .collect();
-    let mut d = vec![0.0f64; k_run * 2];
+    let mut d = vec![0.0f64; k * 2];
     for t in 0..rows.len() {
         for l in 0..k {
             out[l].0.push(states[l * 2]);
             out[l].1.push(states[l * 2 + 1]);
         }
         multi.step(t, &states, &mut d);
-        for l in 0..k_run {
+        for l in 0..k {
             states[l * 2] = sanitise_state(states[l * 2] + dt * d[l * 2], cap);
             states[l * 2 + 1] = sanitise_state(states[l * 2 + 1] + dt * d[l * 2 + 1], cap);
         }
@@ -815,14 +799,13 @@ mod tests {
     }
 
     #[test]
-    fn padded_sweep_matches_single_bitwise() {
-        // 16 inits crosses PAD_MIN: with vector kernels live the sweep
-        // runs padded to a full stripe; either way every real lane must
-        // match its solo run bit-for-bit.
+    fn wide_ragged_sweep_matches_single_bitwise() {
+        // Half a stripe of trajectories: every lane must match its solo
+        // run bit-for-bit.
         let reg = manual_registry();
         let sys = reg.touch("table5-manual").unwrap().system.clone();
         let table = rows(70);
-        let inits: Vec<(f64, f64)> = (0..PAD_MIN)
+        let inits: Vec<(f64, f64)> = (0..LANES / 2)
             .map(|i| (2.0 + i as f64 * 0.9, 0.3 + i as f64 * 0.11))
             .collect();
         let batched = simulate_many(&sys, &table, &inits, 1.0, 1e9);

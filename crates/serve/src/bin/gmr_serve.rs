@@ -35,7 +35,6 @@ fn usage() -> ExitCode {
         "usage: gmr-serve serve [--addr A] [--artifacts DIR] [--port-file P] [--journal P]
                        [--workers N] [--conn-queue N] [--sim-queue N] [--window-ms MS]
                        [--days N] [--seed S] [--no-builtin] [--hot-models N]
-                       [--fidelity bit-exact|allow-relaxed]
        gmr-serve cluster --backends N [--addr A] [--artifacts DIR] [--port-file P]
                          [--journal P] [--hot-models N] [serve flags forwarded to backends]
        gmr-serve export --out PATH
@@ -104,17 +103,7 @@ fn hosted_tables(seed: u64, days: Option<usize>) -> Tables {
 fn cmd_serve(args: &[String]) -> ExitCode {
     sig::install();
     gmr_obsv::init(gmr_obsv::DEFAULT_CAPACITY);
-    let policy = match flag(args, "--fidelity") {
-        None => gmr_expr::FidelityPolicy::default(),
-        Some(name) => match gmr_expr::FidelityPolicy::parse(&name) {
-            Some(p) => p,
-            None => {
-                eprintln!("bad --fidelity: {name} (expected bit-exact|allow-relaxed)");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let mut registry = ModelRegistry::with_policy(policy);
+    let mut registry = ModelRegistry::new();
     if !args.iter().any(|a| a == "--no-builtin") {
         if let Err(e) = registry.insert(ModelArtifact::builtin_manual()) {
             eprintln!("builtin model rejected: {e}");
@@ -205,7 +194,6 @@ const FORWARDED_VALUE_FLAGS: &[&str] = &[
     "--conn-queue",
     "--sim-queue",
     "--window-ms",
-    "--fidelity",
     "--hot-models",
 ];
 const FORWARDED_BARE_FLAGS: &[&str] = &["--no-builtin"];

@@ -50,8 +50,6 @@ pub struct ServableModel {
     opts: OptOptions,
     /// Served tier name, recorded at admission for `/models`.
     tier: &'static str,
-    /// Served fidelity name, recorded at admission for `/models`.
-    fidelity: &'static str,
 }
 
 /// A model resident in the hot tier: the shared compilation plus the
@@ -137,15 +135,6 @@ pub enum RegistryError {
         /// Human rendering of the analyzer report.
         report: String,
     },
-    /// The compiled system's numeric fidelity is outside the registry's
-    /// policy — e.g. a relaxed-SIMD compilation offered to a registry
-    /// serving bit-exact results.
-    Fidelity {
-        /// Model name.
-        model: String,
-        /// The offered system's fidelity ([`gmr_expr::Fidelity::name`]).
-        fidelity: &'static str,
-    },
     /// A different artifact already holds this name.
     Duplicate(String),
 }
@@ -164,13 +153,6 @@ impl fmt::Display for RegistryError {
                     "model {model:?} rejected by bytecode verification: {errors} error(s)"
                 )
             }
-            RegistryError::Fidelity { model, fidelity } => {
-                write!(
-                    f,
-                    "model {model:?} rejected: {fidelity} results are outside \
-                     the registry's fidelity policy"
-                )
-            }
             RegistryError::Duplicate(name) => write!(f, "model {name:?} already registered"),
         }
     }
@@ -184,13 +166,12 @@ impl From<ArtifactError> for RegistryError {
     }
 }
 
-/// The registry: admitted models by name, compiled at the fastest tier
-/// the registry's [`FidelityPolicy`] allows, with compiled systems
-/// resident in a bounded hot LRU (see the module docs).
+/// The registry: admitted models by name, compiled at the production
+/// tier ([`Tier::fastest`]), with compiled systems resident in a bounded
+/// hot LRU (see the module docs).
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
     models: BTreeMap<String, Arc<ServableModel>>,
-    policy: FidelityPolicy,
     /// Max hot models; 0 = unbounded.
     hot_cap: usize,
     hot: Mutex<HotTier>,
@@ -207,25 +188,9 @@ struct HotTier {
 }
 
 impl ModelRegistry {
-    /// An empty registry serving bit-exact results
-    /// ([`FidelityPolicy::BitExact`], the default).
+    /// An empty registry.
     pub fn new() -> ModelRegistry {
         ModelRegistry::default()
-    }
-
-    /// An empty registry under an explicit fidelity policy. Admission
-    /// compiles at [`Tier::fastest`] for the policy, and any pre-compiled
-    /// system offered through the test-only gate is checked against it.
-    pub fn with_policy(policy: FidelityPolicy) -> ModelRegistry {
-        ModelRegistry {
-            policy,
-            ..ModelRegistry::default()
-        }
-    }
-
-    /// The fidelity policy admissions are gated on.
-    pub fn policy(&self) -> FidelityPolicy {
-        self.policy
     }
 
     /// Bound the hot tier to `cap` resident compilations (0 = unbounded,
@@ -281,7 +246,7 @@ impl ModelRegistry {
             &eqs,
             artifact.vars.len(),
             artifact.states.len(),
-            Tier::fastest(self.policy).options(),
+            Tier::fastest(FidelityPolicy::BitExact).options(),
         )
         .map_err(|e| RegistryError::Compile(format!("{e:?}")))?;
         self.admit(artifact, system, lint_warnings)
@@ -312,12 +277,6 @@ impl ModelRegistry {
     ) -> Result<(), RegistryError> {
         if self.models.contains_key(&artifact.name) {
             return Err(RegistryError::Duplicate(artifact.name.clone()));
-        }
-        if !self.policy.allows(system.fidelity()) {
-            return Err(RegistryError::Fidelity {
-                model: artifact.name.clone(),
-                fidelity: system.fidelity().name(),
-            });
         }
         let env = env_for_arity(artifact.vars.len(), artifact.states.len());
         let analysis = analyze_system(&system, &env, &artifact.name);
@@ -355,7 +314,6 @@ impl ModelRegistry {
                 bytecode_warnings,
                 opts: system.options(),
                 tier: system.tier().name(),
-                fidelity: system.fidelity().name(),
             }),
         );
         // Admission's compilation seeds the hot tier (it counts as the
@@ -501,8 +459,6 @@ impl ModelRegistry {
             ));
             o.push_str(", \"tier\": ");
             push_escaped(&mut o, m.tier);
-            o.push_str(", \"fidelity\": ");
-            push_escaped(&mut o, m.fidelity);
             o.push('}');
         }
         o.push_str("\n]}\n");
@@ -692,49 +648,14 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_policy_gates_admission_and_is_reported() {
-        use gmr_expr::OptOptions;
-        // Default registry: bit-exact; the served tier is the fastest
-        // bit-exact tier and /models says so.
+    fn served_tier_is_the_production_tier_and_is_reported() {
         let mut reg = ModelRegistry::new();
         reg.insert(ModelArtifact::builtin_manual()).unwrap();
         let m = reg.touch("table5-manual").unwrap();
         assert_eq!(m.system.tier(), Tier::fastest(FidelityPolicy::BitExact));
-        assert_eq!(m.system.fidelity().name(), "bit-exact");
         let json = reg.render_json();
-        assert!(json.contains("\"tier\": \"threaded\""), "{json}");
-        assert!(json.contains("\"fidelity\": \"bit-exact\""), "{json}");
-
-        // A relaxed-SIMD compilation is refused by a bit-exact registry —
-        // but only where SIMD kernels are actually live; otherwise the
-        // simd tier *is* bit-exact and admission is correct.
-        let good = ModelArtifact::builtin_manual();
-        let eqs = good.parse_equations().unwrap();
-        let simd_sys = CompiledSystem::compile_checked(
-            &eqs,
-            good.vars.len(),
-            good.states.len(),
-            OptOptions::simd(),
-        )
-        .unwrap();
-        let mut reg = ModelRegistry::new();
-        let relaxed = simd_sys.fidelity() == gmr_expr::Fidelity::RelaxedSimd;
-        let res = reg.insert_prepared(good, simd_sys);
-        if relaxed {
-            assert!(
-                matches!(res, Err(RegistryError::Fidelity { .. })),
-                "{res:?}"
-            );
-            assert!(reg.is_empty());
-        } else {
-            res.unwrap();
-        }
-
-        // An allow-relaxed registry admits it either way.
-        let mut reg = ModelRegistry::with_policy(FidelityPolicy::AllowRelaxed);
-        reg.insert(ModelArtifact::builtin_manual()).unwrap();
-        let m = reg.touch("table5-manual").unwrap();
-        assert_eq!(m.system.tier(), Tier::fastest(FidelityPolicy::AllowRelaxed));
+        assert!(json.contains("\"tier\": \"split\""), "{json}");
+        assert!(!json.contains("fidelity"), "{json}");
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //!   caches or the gateway's routing.
 //! * [`run_sweep`] — fans one `/sweep` request into `variants` jittered
 //!   forcing variants and steps them through [`gmr_expr::EnsembleSession`]
-//!   lanes ([`LANES`] variants per lock-step core dispatch, padded to full
-//!   SIMD stripes exactly like the `/simulate` batcher), reducing each
-//!   trajectory online to a [`SweepSummary`].
+//!   lanes ([`LANES`] variants per lock-step core dispatch), reducing
+//!   each trajectory online to a [`SweepSummary`].
 //!
 //! The bit-identity contract extends to sweeps: variant `i`'s summary from
 //! a batched sweep equals the summary reduced from a solo `/simulate` of
@@ -23,7 +22,7 @@
 //! sanitised Euler step, same per-lane kernels (`bench_scenario
 //! --validate` gates on it through the gateway).
 
-use crate::batch::PAD_MIN;
+use crate::batch::parse_integration;
 use gmr_bio::sanitise_state;
 use gmr_expr::{CompiledSystem, LANES};
 use gmr_hydro::NUM_VARS;
@@ -216,10 +215,11 @@ pub fn parse_sweep_request(v: &Value) -> Result<SweepRequest, String> {
     let variants = v
         .get("variants")
         .and_then(Value::as_u64)
-        .ok_or("missing \"variants\" (a positive integer)")? as u32;
-    if variants == 0 || variants > MAX_VARIANTS {
-        return Err(format!("\"variants\" must be in 1..={MAX_VARIANTS}"));
-    }
+        .ok_or("missing \"variants\" (a positive integer)")?;
+    let variants = u32::try_from(variants)
+        .ok()
+        .filter(|n| (1..=MAX_VARIANTS).contains(n))
+        .ok_or_else(|| format!("\"variants\" must be in 1..={MAX_VARIANTS}"))?;
     let reduce = match v.get("reduce") {
         None => ReduceSpec::default(),
         Some(r) => {
@@ -241,43 +241,15 @@ pub fn parse_sweep_request(v: &Value) -> Result<SweepRequest, String> {
             ReduceSpec { threshold }
         }
     };
-    let init = match v.get("init") {
-        None => (8.0, 1.2),
-        Some(p) => {
-            let arr = p.as_arr().ok_or("\"init\" must be [bphy, bzoo]")?;
-            if arr.len() != 2 {
-                return Err("\"init\" must be [bphy, bzoo]".into());
-            }
-            let a = arr[0].as_f64().ok_or("\"init\" values must be numbers")?;
-            let b = arr[1].as_f64().ok_or("\"init\" values must be numbers")?;
-            if !a.is_finite() || !b.is_finite() {
-                return Err("\"init\" values must be finite".into());
-            }
-            (a, b)
-        }
-    };
-    let f64_field = |key: &str, default: f64| -> Result<f64, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(x) => {
-                let x = x
-                    .as_f64()
-                    .ok_or_else(|| format!("{key:?} must be a number"))?;
-                if !x.is_finite() || x <= 0.0 {
-                    return Err(format!("{key:?} must be positive and finite"));
-                }
-                Ok(x)
-            }
-        }
-    };
+    let (init, dt, state_cap) = parse_integration(v)?;
     Ok(SweepRequest {
         scenario,
         model,
         variants,
         reduce,
         init,
-        dt: f64_field("dt", 1.0)?,
-        state_cap: f64_field("state_cap", 1e9)?,
+        dt,
+        state_cap,
     })
 }
 
@@ -295,27 +267,15 @@ pub fn run_sweep(
     let mut first = 0u32;
     while first < req.variants {
         let k = ((req.variants - first) as usize).min(LANES);
-        let mut tabs: Vec<Vec<[f64; NUM_VARS]>> =
+        let tabs: Vec<Vec<[f64; NUM_VARS]>> =
             (0..k).map(|j| scn.variant_rows(first + j as u32)).collect();
-        // Same padding rule as the `/simulate` batcher: with the vector
-        // kernels live, a wide-but-ragged chunk runs padded to a full
-        // stripe (padded lanes replay variant 0 and are dropped; lanes
-        // are arithmetically independent, so real lanes are unchanged).
-        let k_run = if gmr_expr::simd::active() && (PAD_MIN..LANES).contains(&k) {
-            LANES
-        } else {
-            k
-        };
-        for _ in k..k_run {
-            tabs.push(tabs[0].clone());
-        }
         let refs: Vec<&[[f64; NUM_VARS]]> = tabs.iter().map(Vec::as_slice).collect();
         let mut session = sys.ensemble_session(&refs);
-        let mut states: Vec<f64> = (0..k_run).flat_map(|_| [req.init.0, req.init.1]).collect();
+        let mut states: Vec<f64> = (0..k).flat_map(|_| [req.init.0, req.init.1]).collect();
         let mut reducers: Vec<SweepReducer> = (0..k)
             .map(|j| SweepReducer::new(first + j as u32, &req.reduce))
             .collect();
-        let mut d = vec![0.0f64; k_run * 2];
+        let mut d = vec![0.0f64; k * 2];
         for t in 0..days {
             // Pre-step recording, then step, then sanitise — exactly the
             // `simulate_single` convention the solo path uses.
@@ -323,7 +283,7 @@ pub fn run_sweep(
                 r.push(states[l * 2], states[l * 2 + 1]);
             }
             session.step(t, &states, &mut d);
-            for l in 0..k_run {
+            for l in 0..k {
                 states[l * 2] = sanitise_state(states[l * 2] + req.dt * d[l * 2], req.state_cap);
                 states[l * 2 + 1] =
                     sanitise_state(states[l * 2 + 1] + req.dt * d[l * 2 + 1], req.state_cap);
@@ -416,8 +376,7 @@ mod tests {
         let mut reg = ModelRegistry::new();
         reg.insert(ModelArtifact::builtin_manual()).unwrap();
         let sys = reg.touch("table5-manual").unwrap().system.clone();
-        // An awkward width: crosses one full chunk plus a ragged tail
-        // (and the SIMD padding branch when the kernels are live).
+        // An awkward width: crosses one full chunk plus a ragged tail.
         let req = SweepRequest {
             scenario: "v".into(),
             model: "table5-manual".into(),
@@ -461,6 +420,7 @@ mod tests {
             r#"{"scenario": "s", "model": "m"}"#,
             r#"{"scenario": "s", "model": "m", "variants": 0}"#,
             r#"{"scenario": "s", "model": "m", "variants": 99999999}"#,
+            r#"{"scenario": "s", "model": "m", "variants": 4294967297}"#,
             r#"{"scenario": "s", "model": "m", "variants": 1, "varaints": 2}"#,
             r#"{"scenario": "s", "model": "m", "variants": 1, "reduce": {"treshold": 1}}"#,
             r#"{"scenario": "s", "model": "m", "variants": 1, "dt": -1}"#,
