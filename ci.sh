@@ -30,6 +30,14 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> Table V reproduces bit for bit (committed results/table5-quick.csv)"
+cargo build --release -q -p gmr-bench --bin exp_table5
+target/release/exp_table5 --quick > /dev/null
+git diff --exit-code -- results/table5-quick.csv || {
+    echo "FAIL: exp_table5 --quick moved a committed Table V number"
+    exit 1
+}
+
 echo "==> determinism with observability compiled out"
 cargo test -q -p gmr-gp --no-default-features --test determinism --test obsv_determinism
 

@@ -30,13 +30,15 @@ impl MethodScore {
         train: &RiverProblem,
         test: &RiverProblem,
     ) -> Self {
+        let (train_rmse, train_mae) = train.rmse_mae(eqs);
+        let (test_rmse, test_mae) = test.rmse_mae(eqs);
         MethodScore {
             name: name.into(),
             class: class.into(),
-            train_rmse: train.rmse(eqs),
-            train_mae: train.mae(eqs),
-            test_rmse: test.rmse(eqs),
-            test_mae: test.mae(eqs),
+            train_rmse,
+            train_mae,
+            test_rmse,
+            test_mae,
         }
     }
 

@@ -27,7 +27,7 @@ fn bench_simulation(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("simulation");
     g.bench_function("interpreted", |b| {
-        b.iter(|| black_box(p.simulate(black_box(&eqs))))
+        b.iter(|| black_box(p.simulate_interpreted(black_box(&eqs))))
     });
     g.bench_function("compiled", |b| {
         b.iter(|| black_box(p.simulate_compiled(black_box(&compiled))))

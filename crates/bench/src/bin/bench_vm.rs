@@ -260,7 +260,7 @@ fn time_sim(mut sim: impl FnMut(&mut Vec<f64>), days: usize, min_time: Duration)
 
 fn bench_model(p: &RiverProblem, m: &Model, min_time: Duration) -> ModelResult {
     let days = p.num_cases();
-    let reference = p.simulate(&m.eqs);
+    let reference = p.simulate_interpreted(&m.eqs);
 
     let naive = [
         CompiledExpr::compile(&m.eqs[0]),

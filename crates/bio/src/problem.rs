@@ -13,13 +13,19 @@
 //! plugs into, and it is also how tree caching and runtime compilation stay
 //! orthogonal to the scoring loop.
 //!
+//! Full-series scoring ([`RiverProblem::simulate`], `rmse`, `rmse_mae`)
+//! runs on the split register-VM tier, compiling the system once per
+//! call. The tree-walking interpreter stays as the named reference
+//! [`RiverProblem::simulate_interpreted`] and as the compilation-off arm
+//! of [`RiverProblem::evaluate_precompiled`] (Fig. 10).
+//!
 //! Numeric policy: evolved systems can be violently unstable. States are
 //! clamped to `[0, state_cap]` (biomass is non-negative; the cap keeps a
 //! runaway model's error *huge but finite*, mirroring the paper's M ANUAL
 //! row showing a 2.79e+9 training RMSE rather than a crash), and a NaN state
 //! is snapped to the cap.
 
-use gmr_expr::{CompiledSystem, EvalContext, Expr, OptOptions};
+use gmr_expr::{CompiledSystem, EvalContext, Expr, Tier};
 use gmr_hydro::data::{RiverDataset, Split};
 use gmr_hydro::{mae, rmse, NUM_VARS};
 
@@ -155,9 +161,17 @@ impl RiverProblem {
         }
     }
 
-    /// Full simulation with the tree-walking interpreter. Returns the
-    /// predicted B_Phy series.
+    /// Full simulation on the production register-VM tier: the system is
+    /// compiled once at [`Tier::Split`] and run through
+    /// [`Self::simulate_compiled`]. Returns the predicted B_Phy series,
+    /// bit-identical to [`Self::simulate_interpreted`].
     pub fn simulate(&self, eqs: &[Expr; 2]) -> Vec<f64> {
+        self.simulate_compiled(&CompiledSystem::compile(&eqs[..], Tier::Split.options()))
+    }
+
+    /// Full simulation with the tree-walking interpreter — the reference
+    /// every VM tier is checked against, never a scoring path.
+    pub fn simulate_interpreted(&self, eqs: &[Expr; 2]) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.num_cases());
         self.integrate(self.interp_rhs([&eqs[0], &eqs[1]]), |_, bphy| {
             out.push(bphy);
@@ -166,7 +180,7 @@ impl RiverProblem {
         out
     }
 
-    /// Full simulation through the optimizing register VM; the inner loop
+    /// Full simulation through an already-compiled system; the inner loop
     /// is allocation-free after the session's one-time setup.
     pub fn simulate_compiled(&self, sys: &CompiledSystem) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.num_cases());
@@ -177,14 +191,16 @@ impl RiverProblem {
         out
     }
 
-    /// RMSE of a system over this problem (full evaluation, interpreter).
+    /// RMSE of a system over this problem (full evaluation, [`Self::simulate`]).
     pub fn rmse(&self, eqs: &[Expr; 2]) -> f64 {
         rmse(&self.simulate(eqs), &self.observed)
     }
 
-    /// MAE of a system over this problem (full evaluation, interpreter).
-    pub fn mae(&self, eqs: &[Expr; 2]) -> f64 {
-        mae(&self.simulate(eqs), &self.observed)
+    /// `(RMSE, MAE)` of a system from one simulation, for callers that
+    /// report both (Table V rows).
+    pub fn rmse_mae(&self, eqs: &[Expr; 2]) -> (f64, f64) {
+        let pred = self.simulate(eqs);
+        (rmse(&pred, &self.observed), mae(&pred, &self.observed))
     }
 
     /// Incremental evaluation with a short-circuit controller.
@@ -202,7 +218,7 @@ impl RiverProblem {
         compiled: bool,
         ctl: &mut dyn FnMut(f64, usize) -> bool,
     ) -> (f64, bool) {
-        let sys = compiled.then(|| CompiledSystem::compile(&eqs[..], OptOptions::full()));
+        let sys = compiled.then(|| CompiledSystem::compile(&eqs[..], Tier::Split.options()));
         self.evaluate_precompiled([&eqs[0], &eqs[1]], sys.as_ref(), ctl)
     }
 
@@ -290,7 +306,8 @@ mod tests {
     fn compiled_and_interpreted_agree() {
         let p = tiny_problem();
         let eqs = manual_system();
-        let interp = p.simulate(&eqs);
+        let interp = p.simulate_interpreted(&eqs);
+        assert_eq!(interp, p.simulate(&eqs), "production path diverged");
         for tier in Tier::ALL {
             let opts = tier.options();
             let sys = CompiledSystem::compile(&eqs, opts);
@@ -303,9 +320,13 @@ mod tests {
     fn rmse_matches_manual_composition() {
         let p = tiny_problem();
         let eqs = manual_system();
-        let pred = p.simulate(&eqs);
-        assert_eq!(p.rmse(&eqs), rmse(&pred, &p.observed));
-        assert!(p.rmse(&eqs).is_finite() || p.rmse(&eqs) == f64::INFINITY);
+        let pred = p.simulate_interpreted(&eqs);
+        let want = rmse(&pred, &p.observed);
+        assert_eq!(p.rmse(&eqs).to_bits(), want.to_bits());
+        let (r, m) = p.rmse_mae(&eqs);
+        assert_eq!(r.to_bits(), want.to_bits());
+        assert_eq!(m.to_bits(), mae(&pred, &p.observed).to_bits());
+        assert!(want.is_finite() || want == f64::INFINITY);
     }
 
     #[test]
@@ -316,7 +337,8 @@ mod tests {
             Expr::bin(gmr_expr::BinOp::Mul, Expr::State(0), Expr::State(0)),
             Expr::Num(0.0),
         ];
-        let pred = p.simulate(&explosive);
+        let pred = p.simulate_interpreted(&explosive);
+        assert_eq!(pred, p.simulate(&explosive));
         for v in pred {
             assert!(v.is_finite());
             assert!((0.0..=p.opts.state_cap).contains(&v));
@@ -329,7 +351,7 @@ mod tests {
         let eqs = manual_system();
         let (fit, full) = p.evaluate_with(&eqs, false, &mut |_, _| true);
         assert!(full);
-        let batch = p.rmse(&eqs);
+        let batch = rmse(&p.simulate_interpreted(&eqs), &p.observed);
         if batch.is_finite() {
             assert!((fit - batch).abs() < 1e-9, "{fit} vs {batch}");
         } else {

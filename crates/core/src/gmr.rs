@@ -111,13 +111,9 @@ impl Gmr {
         let derived = tree.derived(&self.grammar.grammar);
         let eqs = lower_system(&derived, 2).expect("river genotypes lower to two equations");
         let sys = [eqs[0].clone(), eqs[1].clone()];
-        let scores = [
-            self.train.rmse(&sys),
-            self.train.mae(&sys),
-            self.test.rmse(&sys),
-            self.test.mae(&sys),
-        ];
-        (eqs, scores)
+        let (train_rmse, train_mae) = self.train.rmse_mae(&sys);
+        let (test_rmse, test_mae) = self.test.rmse_mae(&sys);
+        (eqs, [train_rmse, train_mae, test_rmse, test_mae])
     }
 
     /// One GMR run with the given engine settings. Elite linting follows
