@@ -38,6 +38,17 @@ git diff --exit-code -- results/table5-quick.csv || {
     exit 1
 }
 
+echo "==> Table V is the same on one CPU (concurrent calibrators are thread-count independent)"
+if command -v taskset > /dev/null; then
+    taskset -c 0 target/release/exp_table5 --quick > /dev/null
+    git diff --exit-code -- results/table5-quick.csv || {
+        echo "FAIL: exp_table5 --quick on one CPU moved a committed Table V number"
+        exit 1
+    }
+else
+    echo "taskset not found; skipped"
+fi
+
 echo "==> determinism with observability compiled out"
 cargo test -q -p gmr-gp --no-default-features --test determinism --test obsv_determinism
 

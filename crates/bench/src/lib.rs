@@ -45,7 +45,12 @@ pub struct Scale {
     pub end_year: i32,
     /// Last training year.
     pub train_end_year: i32,
-    /// Evaluation worker threads for the GP engine.
+    /// Evaluation worker threads for the GP engine (default: the host's
+    /// available parallelism). The other parallel Table V stages draw the
+    /// same default themselves: the calibration runs
+    /// ([`methods::run_calibrators`]) and GGGP's fitness evaluation.
+    /// Manual, the two LSTMs and ARIMAX run on the calling thread. Rows do
+    /// not depend on the thread count.
     pub threads: usize,
 }
 
@@ -137,7 +142,7 @@ impl Scale {
     }
 }
 
-fn threads() -> usize {
+pub(crate) fn threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)

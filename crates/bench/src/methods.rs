@@ -12,6 +12,7 @@ use gmr_bio::RiverProblem;
 use gmr_core::{Gmr, GmrConfig, GmrResult};
 use gmr_hydro::network::StationKind;
 use gmr_hydro::{RiverDataset, Split, NUM_VARS};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Exogenous feature rows over a split: the ten variables at S1 alone, or
 /// at all nine measuring stations (the paper's `-S1` / `-All` variants).
@@ -43,7 +44,9 @@ pub fn run_manual(train: &RiverProblem, test: &RiverProblem) -> MethodScore {
 
 /// All nine calibration rows. Each method runs `seeds` independent times;
 /// the best row by test RMSE is kept, matching the paper's Table V protocol
-/// ("best models denote those with the smallest test RMSE").
+/// ("best models denote those with the smallest test RMSE"). The 9 × `seeds`
+/// runs are independent and seeded, so they run concurrently, one worker
+/// per available core; the rows are the serial roster's, bit for bit.
 pub fn run_calibrators(
     train: &RiverProblem,
     test: &RiverProblem,
@@ -51,18 +54,62 @@ pub fn run_calibrators(
     seeds: usize,
     seed: u64,
 ) -> Vec<MethodScore> {
+    run_calibrators_on(train, test, budget, seeds, seed, crate::threads())
+}
+
+/// [`run_calibrators`] on `workers` threads: the calling thread and
+/// `workers - 1` scoped ones. Workers claim run indices from a shared
+/// counter; each run lands back at its index, so
+/// row order, seed order (and with it the first-best tie-break) and every
+/// bit are independent of `workers` and of scheduling.
+fn run_calibrators_on(
+    train: &RiverProblem,
+    test: &RiverProblem,
+    budget: usize,
+    seeds: usize,
+    seed: u64,
+    workers: usize,
+) -> Vec<MethodScore> {
     let cp = CalibrationProblem::new(train.clone());
-    all_calibrators()
-        .iter()
-        .map(|c| {
-            (0..seeds.max(1))
-                .map(|i| {
-                    let out = c.calibrate(&cp, budget, seed.wrapping_add(31 * i as u64));
-                    let eqs = cp.instantiate(&out.theta);
-                    MethodScore::from_system(c.name(), "Model calibration", &eqs, train, test)
-                })
+    let seeds = seeds.max(1);
+    let jobs = all_calibrators().len() * seeds;
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let roster = all_calibrators();
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out indices; the rows
+            // travel back through `join`.
+            let job = next.fetch_add(1, Ordering::Relaxed);
+            if job >= jobs {
+                return done;
+            }
+            let (c, i) = (&roster[job / seeds], job % seeds);
+            let out = c.calibrate(&cp, budget, seed.wrapping_add(31 * i as u64));
+            let eqs = cp.instantiate(&out.theta);
+            let row = MethodScore::from_system(c.name(), "Model calibration", &eqs, train, test);
+            done.push((job, row));
+        }
+    };
+    let mut runs: Vec<(usize, MethodScore)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..workers.clamp(1, jobs))
+            .map(|_| s.spawn(worker))
+            .collect();
+        let mut runs = worker();
+        for h in handles {
+            runs.extend(h.join().expect("calibration worker panicked"));
+        }
+        runs
+    });
+    runs.sort_by_key(|(job, _)| *job);
+    runs.chunks(seeds)
+        .map(|per_method| {
+            per_method
+                .iter()
+                .map(|(_, row)| row)
                 .min_by(|a, b| a.test_rmse.total_cmp(&b.test_rmse))
                 .expect("at least one seed")
+                .clone()
         })
         .collect()
 }
@@ -276,6 +323,48 @@ mod tests {
         let row = run_arimax(&ds, false);
         assert!(row.train_rmse.is_finite(), "{row:?}");
         assert!(row.test_rmse.is_finite());
+    }
+
+    /// Name and score bits of each row.
+    fn row_bits(rows: &[MethodScore]) -> Vec<(String, [u64; 4])> {
+        rows.iter()
+            .map(|r| {
+                let s = [r.train_rmse, r.train_mae, r.test_rmse, r.test_mae];
+                (r.name.clone(), s.map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_calibrators_match_the_serial_roster() {
+        let (ds, _) = tiny();
+        let train = RiverProblem::from_dataset(&ds, ds.train);
+        let test = RiverProblem::from_dataset(&ds, ds.test);
+        // Two seeds per method, so the best-of-seeds choice is exercised.
+        let (budget, seeds, seed) = (20, 2, 5u64);
+        // The serial composition, in Table V order.
+        let cp = CalibrationProblem::new(train.clone());
+        let serial: Vec<MethodScore> = all_calibrators()
+            .iter()
+            .map(|c| {
+                (0..seeds)
+                    .map(|i| {
+                        let out = c.calibrate(&cp, budget, seed.wrapping_add(31 * i as u64));
+                        let eqs = cp.instantiate(&out.theta);
+                        MethodScore::from_system(c.name(), "Model calibration", &eqs, &train, &test)
+                    })
+                    .min_by(|a, b| a.test_rmse.total_cmp(&b.test_rmse))
+                    .expect("two seeds")
+            })
+            .collect();
+        assert_eq!(serial.len(), 9);
+        // One worker, fewer workers than methods, more workers than runs.
+        for workers in [1, 2, 12] {
+            let rows = run_calibrators_on(&train, &test, budget, seeds, seed, workers);
+            assert_eq!(row_bits(&rows), row_bits(&serial), "{workers} workers");
+        }
+        let rows = run_calibrators(&train, &test, budget, seeds, seed);
+        assert_eq!(row_bits(&rows), row_bits(&serial), "default workers");
     }
 
     #[test]
